@@ -11,40 +11,16 @@
 // the sweep for CI.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
 #include "binmodel/profile_model.h"
 #include "solver/opq_builder.h"
-
-// -- Global allocation counter ----------------------------------------------
-// Counts every operator-new in the process; deltas around a build isolate
-// that build's allocations (the harness is single-threaded).
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -81,13 +57,13 @@ BuildRun Measure(BuildFn&& build) {
   } while (watch.ElapsedSeconds() < 0.2 && reps < 10'000);
   run.seconds = watch.ElapsedSeconds() / static_cast<double>(reps);
 
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t before = slade_bench::AllocationCount();
   {
     OpqBuildStats stats;
     auto queue = build(&stats);
     if (!queue.ok()) std::exit(1);
     run.allocations =
-        g_allocations.load(std::memory_order_relaxed) - before;
+        slade_bench::AllocationCount() - before;
   }
   return run;
 }

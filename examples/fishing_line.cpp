@@ -64,7 +64,7 @@ int main() {
   // met (the "one way" of Example 1).
   {
     Stopwatch watch;
-    DecompositionPlan naive;
+    ColumnarPlan naive;
     const double w1 = profile.bin(1).log_weight();
     for (TaskId id = 0; id < task->size(); ++id) {
       const auto copies = static_cast<uint32_t>(

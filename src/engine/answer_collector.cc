@@ -4,55 +4,6 @@
 #include <utility>
 
 namespace slade {
-namespace {
-
-/// One validated, globally-addressed unit of dispatch work.
-struct DispatchJob {
-  BinPlacement placement;   // tasks rewritten to global ids
-  std::vector<bool> truth;  // ground truth per contained task
-};
-
-// Validates and pre-translates every placement before anything is
-// enqueued, so a malformed plan never half-dispatches. Shared between the
-// AoS and columnar Dispatch overloads via the placement-view accessor.
-template <typename ViewFn>
-Result<std::vector<DispatchJob>> BuildDispatchJobs(
-    size_t num_placements, ViewFn view,
-    const std::vector<TaskId>& global_of_local,
-    const std::vector<bool>& ground_truth) {
-  std::vector<DispatchJob> jobs;
-  jobs.reserve(num_placements);
-  for (size_t pi = 0; pi < num_placements; ++pi) {
-    const ColumnarPlan::PlacementView p = view(pi);
-    if (p.num_tasks == 0) continue;
-    DispatchJob job;
-    job.placement.cardinality = p.cardinality;
-    job.placement.copies = p.copies;
-    job.placement.tasks.reserve(p.num_tasks);
-    job.truth.reserve(p.num_tasks);
-    for (uint32_t k = 0; k < p.num_tasks; ++k) {
-      TaskId id = p.tasks[k];
-      if (id >= global_of_local.size()) {
-        return Status::OutOfRange(
-            "placement references local task " + std::to_string(id) +
-            " but the mapping covers " +
-            std::to_string(global_of_local.size()));
-      }
-      id = global_of_local[id];
-      if (id >= ground_truth.size()) {
-        return Status::OutOfRange("mapped task " + std::to_string(id) +
-                                  " is outside the ground truth (n=" +
-                                  std::to_string(ground_truth.size()) + ")");
-      }
-      job.placement.tasks.push_back(id);
-      job.truth.push_back(ground_truth[id]);
-    }
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-}  // namespace
 
 void AnswerCollector::Accept(std::vector<WorkerAnswer> answers, bool overtime,
                              double cost) {
@@ -115,56 +66,53 @@ SimulatedDispatcher::SimulatedDispatcher(Platform& platform,
       pool_(pool),
       injector_(injector) {}
 
-Status SimulatedDispatcher::Dispatch(const DecompositionPlan& plan,
-                                     std::vector<TaskId> global_of_local,
-                                     const std::vector<bool>& ground_truth,
-                                     AnswerCollector* collector) {
-  const std::vector<BinPlacement>& placements = plan.placements();
-  SLADE_ASSIGN_OR_RETURN(
-      std::vector<DispatchJob> jobs,
-      BuildDispatchJobs(
-          placements.size(),
-          [&placements](size_t i) {
-            const BinPlacement& p = placements[i];
-            return ColumnarPlan::PlacementView{
-                p.cardinality, p.copies, p.tasks.data(),
-                static_cast<uint32_t>(p.tasks.size())};
-          },
-          global_of_local, ground_truth));
-  for (DispatchJob& job : jobs) {
-    auto shared = std::make_shared<DispatchJob>(std::move(job));
-    pool_.Submit([this, shared, collector] {
-      PostPlacementCopy(shared->placement, shared->placement.tasks,
-                        shared->truth, collector);
-    });
-  }
-  return Status::OK();
-}
-
 Status SimulatedDispatcher::Dispatch(const ColumnarPlan& plan,
                                      std::vector<TaskId> global_of_local,
                                      const std::vector<bool>& ground_truth,
                                      AnswerCollector* collector) {
-  SLADE_ASSIGN_OR_RETURN(
-      std::vector<DispatchJob> jobs,
-      BuildDispatchJobs(
-          plan.num_placements(), [&plan](size_t i) { return plan.view(i); },
-          global_of_local, ground_truth));
-  for (DispatchJob& job : jobs) {
-    auto shared = std::make_shared<DispatchJob>(std::move(job));
-    pool_.Submit([this, shared, collector] {
-      PostPlacementCopy(shared->placement, shared->placement.tasks,
-                        shared->truth, collector);
-    });
+  // Validate and pre-translate every placement before anything is
+  // enqueued, so a malformed plan never half-dispatches.
+  std::vector<Job> jobs;
+  jobs.reserve(plan.num_placements());
+  for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+    const ColumnarPlan::PlacementView p = plan.view(pi);
+    if (p.num_tasks == 0) continue;
+    Job job;
+    job.cardinality = p.cardinality;
+    job.copies = p.copies;
+    job.tasks.reserve(p.num_tasks);
+    job.truth.reserve(p.num_tasks);
+    for (uint32_t k = 0; k < p.num_tasks; ++k) {
+      TaskId id = p.tasks[k];
+      if (id >= global_of_local.size()) {
+        return Status::OutOfRange(
+            "placement references local task " + std::to_string(id) +
+            " but the mapping covers " +
+            std::to_string(global_of_local.size()));
+      }
+      id = global_of_local[id];
+      if (id >= ground_truth.size()) {
+        return Status::OutOfRange("mapped task " + std::to_string(id) +
+                                  " is outside the ground truth (n=" +
+                                  std::to_string(ground_truth.size()) + ")");
+      }
+      job.tasks.push_back(id);
+      job.truth.push_back(ground_truth[id]);
+    }
+    jobs.push_back(std::move(job));
+  }
+  for (Job& job : jobs) {
+    auto shared = std::make_shared<Job>(std::move(job));
+    pool_.Submit(
+        [this, shared, collector] { PostPlacement(*shared, collector); });
   }
   return Status::OK();
 }
 
-void SimulatedDispatcher::PostPlacementCopy(
-    const BinPlacement& placement, const std::vector<TaskId>& global_ids,
-    const std::vector<bool>& truth, AnswerCollector* collector) {
-  const TaskBin& bin = profile_.bin(placement.cardinality);
-  for (uint32_t copy = 0; copy < placement.copies; ++copy) {
+void SimulatedDispatcher::PostPlacement(const Job& job,
+                                        AnswerCollector* collector) {
+  const TaskBin& bin = profile_.bin(job.cardinality);
+  for (uint32_t copy = 0; copy < job.copies; ++copy) {
     BinOutcome outcome;
     bool posted = false;
     {
@@ -181,7 +129,7 @@ void SimulatedDispatcher::PostPlacementCopy(
         // A post the platform itself rejects (invalid bin) is a plan bug;
         // it surfaces as a dropped bin rather than a crash mid-pool.
         Result<BinOutcome> result = platform_.PostBin(
-            placement.cardinality, bin.cost, truth, /*assignments=*/1,
+            job.cardinality, bin.cost, job.truth, /*assignments=*/1,
             decision.context);
         if (result.ok()) {
           outcome = std::move(*result);
@@ -196,18 +144,18 @@ void SimulatedDispatcher::PostPlacementCopy(
     }
     const AssignmentOutcome& assignment = outcome.assignments.front();
     std::vector<WorkerAnswer> answers;
-    answers.reserve(global_ids.size());
+    answers.reserve(job.tasks.size());
     uint64_t calibration_correct = 0;
-    for (size_t k = 0; k < global_ids.size(); ++k) {
+    for (size_t k = 0; k < job.tasks.size(); ++k) {
       WorkerAnswer answer;
       answer.worker = assignment.worker_id;
-      answer.task = global_ids[k];
+      answer.task = job.tasks[k];
       answer.answer = assignment.answers[k];
-      if (answer.answer == truth[k]) ++calibration_correct;
+      if (answer.answer == job.truth[k]) ++calibration_correct;
       answers.push_back(answer);
     }
-    collector->CountCalibration(placement.cardinality, calibration_correct,
-                                global_ids.size(), bin.cost);
+    collector->CountCalibration(job.cardinality, calibration_correct,
+                                job.tasks.size(), bin.cost);
     collector->Accept(std::move(answers), outcome.overtime, bin.cost);
   }
 }

@@ -32,7 +32,6 @@
 #include "inference/truth_inference.h"
 #include "simulator/fault_injector.h"
 #include "simulator/platform.h"
-#include "solver/plan.h"
 #include "solver/plan_arena.h"
 
 namespace slade {
@@ -106,14 +105,6 @@ class SimulatedDispatcher {
   /// by the collected answers. Returns immediately; answers land in
   /// `collector` as posts complete. Fails fast (before enqueueing) on a
   /// placement referencing an id outside the mapping.
-  Status Dispatch(const DecompositionPlan& plan,
-                  std::vector<TaskId> global_of_local,
-                  const std::vector<bool>& ground_truth,
-                  AnswerCollector* collector);
-
-  /// Columnar variant: placements are read straight off the flat columns
-  /// (the closed-loop hot path dispatches splitter slices without an AoS
-  /// conversion). Same validation, same posting order.
   Status Dispatch(const ColumnarPlan& plan,
                   std::vector<TaskId> global_of_local,
                   const std::vector<bool>& ground_truth,
@@ -123,10 +114,16 @@ class SimulatedDispatcher {
   void Wait() { pool_.Wait(); }
 
  private:
-  void PostPlacementCopy(const BinPlacement& placement,
-                         const std::vector<TaskId>& global_ids,
-                         const std::vector<bool>& truth,
-                         AnswerCollector* collector);
+  /// One validated, globally-addressed placement (see Dispatch).
+  struct Job {
+    uint32_t cardinality = 0;
+    uint32_t copies = 0;
+    std::vector<TaskId> tasks;  // global ids
+    std::vector<bool> truth;    // ground truth per contained task
+  };
+
+  /// Posts every copy of `job`, one bin post each.
+  void PostPlacement(const Job& job, AnswerCollector* collector);
 
   Platform& platform_;
   const BinProfile& profile_;

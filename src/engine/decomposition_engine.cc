@@ -287,12 +287,12 @@ Result<BatchReport> SolveBatchSequential(
   BatchReport report;
   report.task_offsets = ComputeOffsets(tasks);
   for (size_t k = 0; k < tasks.size(); ++k) {
-    SLADE_ASSIGN_OR_RETURN(DecompositionPlan plan,
+    SLADE_ASSIGN_OR_RETURN(ColumnarPlan plan,
                            solver->Solve(tasks[k], profile));
     report.total_cost += plan.TotalCost(profile);
     report.total_bins += plan.TotalBinInstances();
-    report.plan.AppendPlan(plan,
-                           static_cast<TaskId>(report.task_offsets[k]));
+    report.plan.AppendRange(plan, 0, plan.num_placements(),
+                            static_cast<int64_t>(report.task_offsets[k]));
   }
   report.wall_seconds = wall.ElapsedSeconds();
   return report;

@@ -28,7 +28,6 @@
 #include "binmodel/task_bin.h"
 #include "common/result.h"
 #include "engine/decomposition_engine.h"
-#include "solver/plan.h"
 
 namespace slade {
 

@@ -11,7 +11,7 @@
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
 #include "common/result.h"
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 namespace slade {
 
@@ -80,10 +80,11 @@ Status SaveTimedWorkloadCsv(const std::vector<TimedSubmission>& submissions,
 
 /// \brief Writes a plan as CSV with header `cardinality,copies,tasks`
 /// where `tasks` is a semicolon-joined id list.
-Status SavePlanCsv(const DecompositionPlan& plan, const std::string& path);
+Status SavePlanCsv(const ColumnarPlan& plan, const std::string& path);
 
-/// \brief Reads a plan written by SavePlanCsv.
-Result<DecompositionPlan> LoadPlanCsv(const std::string& path);
+/// \brief Reads a plan written by SavePlanCsv. Values that do not fit the
+/// plan's 32-bit columns are rejected, not truncated.
+Result<ColumnarPlan> LoadPlanCsv(const std::string& path);
 
 }  // namespace slade
 

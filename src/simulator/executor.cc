@@ -3,19 +3,21 @@
 namespace slade {
 
 Result<ExecutionReport> ExecutePlan(Platform& platform,
-                                    const DecompositionPlan& plan,
+                                    const ColumnarPlan& plan,
                                     const BinProfile& profile,
                                     const std::vector<bool>& ground_truth) {
   const size_t n = ground_truth.size();
   ExecutionReport report;
   report.detected.assign(n, false);
 
-  for (const BinPlacement& placement : plan.placements()) {
-    if (placement.tasks.empty()) continue;
+  std::vector<bool> truth;
+  for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+    const ColumnarPlan::PlacementView placement = plan.view(pi);
+    if (placement.num_tasks == 0) continue;
     const TaskBin& bin = profile.bin(placement.cardinality);
-    std::vector<bool> truth;
-    truth.reserve(placement.tasks.size());
-    for (TaskId id : placement.tasks) {
+    truth.clear();
+    for (uint32_t k = 0; k < placement.num_tasks; ++k) {
+      const TaskId id = placement.tasks[k];
       if (id >= n) {
         return Status::OutOfRange("plan references task " +
                                   std::to_string(id) + " but n=" +
@@ -32,9 +34,9 @@ Result<ExecutionReport> ExecutePlan(Platform& platform,
       if (outcome.overtime) ++report.overtime_bins;
       report.total_cost += bin.cost;
       const AssignmentOutcome& assignment = outcome.assignments.front();
-      for (size_t i = 0; i < placement.tasks.size(); ++i) {
-        if (assignment.answers[i]) {
-          report.detected[placement.tasks[i]] = true;
+      for (uint32_t k = 0; k < placement.num_tasks; ++k) {
+        if (assignment.answers[k]) {
+          report.detected[placement.tasks[k]] = true;
         }
       }
     }

@@ -9,7 +9,7 @@
 
 #include "binmodel/task.h"
 #include "simulator/platform.h"
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 namespace slade {
 
@@ -46,7 +46,7 @@ struct ExecutionReport {
 /// single-assignment HIT (the plan already encodes redundancy as explicit
 /// copies).
 Result<ExecutionReport> ExecutePlan(Platform& platform,
-                                    const DecompositionPlan& plan,
+                                    const ColumnarPlan& plan,
                                     const BinProfile& profile,
                                     const std::vector<bool>& ground_truth);
 

@@ -70,31 +70,28 @@ std::vector<CipColumn> GenerateColumns(const BinProfile& profile,
 }
 
 // Emits the integer CIP solution of one chunk into the plan, mapping
-// chunk-local rows through `global_ids` starting at `offset`.
+// chunk-local row r to task id `id_base + r`.
 void EmitChunkPlan(const CipInstance& inst, const std::vector<uint64_t>& y,
-                   const std::vector<TaskId>& global_ids, size_t offset,
-                   DecompositionPlan* plan) {
+                   size_t id_base, ColumnarPlan* plan) {
+  std::vector<TaskId> tasks;  // scratch: one column's members
   for (size_t j = 0; j < inst.columns.size(); ++j) {
     if (y[j] == 0) continue;
     const CipColumn& col = inst.columns[j];
-    std::vector<TaskId> tasks;
-    tasks.reserve(col.rows.size());
-    for (uint32_t row : col.rows) tasks.push_back(global_ids[offset + row]);
-    plan->Add(col.cardinality, static_cast<uint32_t>(y[j]),
-              std::move(tasks));
+    tasks.clear();
+    for (uint32_t row : col.rows) {
+      tasks.push_back(static_cast<TaskId>(id_base + row));
+    }
+    plan->Add(col.cardinality, static_cast<uint32_t>(y[j]), tasks);
   }
 }
 
 }  // namespace
 
-Result<DecompositionPlan> BaselineSolver::Solve(const CrowdsourcingTask& task,
-                                                const BinProfile& profile) {
+Result<ColumnarPlan> BaselineSolver::Solve(const CrowdsourcingTask& task,
+                                           const BinProfile& profile) {
   const size_t n = task.size();
   const size_t chunk_size = std::max<size_t>(
       std::min<size_t>(options_.baseline_chunk_size, n), 1);
-
-  std::vector<TaskId> ids(n);
-  std::iota(ids.begin(), ids.end(), 0);
 
   // For homogeneous thresholds every full chunk's CIP is identical up to
   // task relabeling (modulo column sampling), so the caller may opt into
@@ -111,17 +108,17 @@ Result<DecompositionPlan> BaselineSolver::Solve(const CrowdsourcingTask& task,
     chunks.push_back({offset, std::min(chunk_size, n - offset)});
   }
 
-  // Solves chunk `c` into its own plan slot. Chunk seeds depend only on
-  // the chunk index, so the outcome is schedule-independent.
-  std::vector<DecompositionPlan> chunk_plans(chunks.size());
-  std::vector<Status> chunk_status(chunks.size());
-  auto solve_chunk = [&](size_t c) {
+  // Solves chunk `c` into `out` with its rows mapped to ids starting at
+  // `id_base`. Chunk seeds depend only on the chunk index, so the outcome
+  // is schedule-independent.
+  auto solve_chunk = [&](size_t c, size_t id_base,
+                         ColumnarPlan* out) -> Status {
     const auto [offset, chunk] = chunks[c];
     Xoshiro256 rng(options_.seed ^ (0x9E3779B97F4A7C15ULL * (c + 1)));
     CipInstance inst;
     inst.demand.reserve(chunk);
     for (size_t i = 0; i < chunk; ++i) {
-      inst.demand.push_back(task.theta(ids[offset + i]));
+      inst.demand.push_back(task.theta(static_cast<TaskId>(offset + i)));
     }
     inst.columns = GenerateColumns(
         profile, chunk, options_.baseline_columns_per_cardinality, rng);
@@ -129,62 +126,53 @@ Result<DecompositionPlan> BaselineSolver::Solve(const CrowdsourcingTask& task,
     CipSolveOptions cip_options;
     cip_options.seed = options_.seed + c;
     cip_options.rounding_rounds = options_.baseline_rounding_rounds;
-    auto solution = SolveCip(inst, cip_options);
-    if (!solution.ok()) {
-      chunk_status[c] = solution.status();
-      return;
-    }
-    EmitChunkPlan(inst, solution->y, ids, offset, &chunk_plans[c]);
+    SLADE_ASSIGN_OR_RETURN(CipSolution solution, SolveCip(inst, cip_options));
+    EmitChunkPlan(inst, solution.y, id_base, out);
+    return Status::OK();
   };
 
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   if (replicate) {
-    // Serial path: solve the first chunk of each distinct size, replay it
-    // for equally-sized later chunks (relabeling the tasks).
-    CipInstance cached_instance;
-    std::vector<uint64_t> cached_y;
-    bool have_cached = false;
+    // Serial path: solve the first chunk of each distinct size with
+    // chunk-local ids, then stamp it at every equally-sized chunk's
+    // offset (relabeling a chunk is a constant id shift).
+    ColumnarPlan cached;
+    size_t cached_size = 0;
     for (size_t c = 0; c < chunks.size(); ++c) {
       const auto [offset, chunk] = chunks[c];
-      if (have_cached && chunk == cached_instance.demand.size()) {
-        EmitChunkPlan(cached_instance, cached_y, ids, offset, &plan);
-        continue;
+      if (c == 0 || chunk != cached_size) {
+        cached.Clear();
+        SLADE_RETURN_NOT_OK(solve_chunk(c, 0, &cached));
+        cached_size = chunk;
       }
-      Xoshiro256 rng(options_.seed ^ (0x9E3779B97F4A7C15ULL * (c + 1)));
-      CipInstance inst;
-      inst.demand.reserve(chunk);
-      for (size_t i = 0; i < chunk; ++i) {
-        inst.demand.push_back(task.theta(ids[offset + i]));
-      }
-      inst.columns = GenerateColumns(
-          profile, chunk, options_.baseline_columns_per_cardinality, rng);
-      CipSolveOptions cip_options;
-      cip_options.seed = options_.seed + c;
-      cip_options.rounding_rounds = options_.baseline_rounding_rounds;
-      SLADE_ASSIGN_OR_RETURN(CipSolution solution,
-                             SolveCip(inst, cip_options));
-      EmitChunkPlan(inst, solution.y, ids, offset, &plan);
-      cached_instance = std::move(inst);
-      cached_y = std::move(solution.y);
-      have_cached = true;
+      plan.AppendRange(cached, 0, cached.num_placements(),
+                       static_cast<int64_t>(offset));
     }
     return plan;
   }
 
+  // Each chunk solves into its own plan slot; slots merge in chunk order.
+  std::vector<ColumnarPlan> chunk_plans(chunks.size());
+  std::vector<Status> chunk_status(chunks.size());
+  auto solve_slot = [&](size_t c) {
+    chunk_status[c] = solve_chunk(c, chunks[c].offset, &chunk_plans[c]);
+  };
   if (options_.baseline_threads > 1 && chunks.size() > 1) {
     ThreadPool pool(options_.baseline_threads);
-    ParallelFor(&pool, chunks.size(), solve_chunk);
+    ParallelFor(&pool, chunks.size(), solve_slot);
   } else {
-    for (size_t c = 0; c < chunks.size(); ++c) solve_chunk(c);
+    for (size_t c = 0; c < chunks.size(); ++c) solve_slot(c);
   }
-  size_t total_placements = plan.placements().size();
-  for (const DecompositionPlan& chunk_plan : chunk_plans) {
-    total_placements += chunk_plan.placements().size();
+  size_t total_placements = 0;
+  size_t total_ids = 0;
+  for (const ColumnarPlan& chunk_plan : chunk_plans) {
+    total_placements += chunk_plan.num_placements();
+    total_ids += chunk_plan.num_task_ids();
   }
-  plan.Reserve(total_placements);
+  plan.Reserve(total_placements, total_ids);
   for (size_t c = 0; c < chunks.size(); ++c) {
     SLADE_RETURN_NOT_OK(chunk_status[c]);
-    plan.Append(std::move(chunk_plans[c]));
+    plan.AppendColumns(chunk_plans[c]);
   }
   return plan;
 }

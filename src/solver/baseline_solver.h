@@ -37,8 +37,8 @@ class BaselineSolver final : public Solver {
 
   std::string name() const override { return "Baseline"; }
 
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
  private:
   SolverOptions options_;

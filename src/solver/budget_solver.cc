@@ -18,11 +18,10 @@ Result<BudgetResult> MaxReliabilityUnderBudget(
   }
 
   OpqSolver solver(options.solver_options);
-  auto cost_at = [&](double t) -> Result<std::pair<double,
-                                                   DecompositionPlan>> {
+  auto cost_at = [&](double t) -> Result<std::pair<double, ColumnarPlan>> {
     SLADE_ASSIGN_OR_RETURN(CrowdsourcingTask task,
                            CrowdsourcingTask::Homogeneous(n, t));
-    SLADE_ASSIGN_OR_RETURN(DecompositionPlan plan,
+    SLADE_ASSIGN_OR_RETURN(ColumnarPlan plan,
                            solver.Solve(task, profile));
     const double cost = plan.TotalCost(profile);
     return std::make_pair(cost, std::move(plan));

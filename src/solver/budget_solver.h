@@ -9,7 +9,6 @@
 #ifndef SLADE_SOLVER_BUDGET_SOLVER_H_
 #define SLADE_SOLVER_BUDGET_SOLVER_H_
 
-#include "solver/plan.h"
 #include "solver/solver.h"
 
 namespace slade {
@@ -30,7 +29,7 @@ struct BudgetResult {
   /// The largest threshold whose plan fits the budget.
   double threshold = 0.0;
   /// The plan achieving it.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   /// Its cost (<= budget).
   double cost = 0.0;
 };

@@ -13,7 +13,6 @@
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
 #include "common/result.h"
-#include "solver/plan.h"
 
 namespace slade {
 
@@ -59,14 +58,10 @@ class Combination {
   /// cardinality is partially filled; every task still lands in exactly
   /// n_k bins of each part, so the reliability guarantee is preserved.
   ///
-  /// Returns the actual incentive cost of the emitted bins (equal to
-  /// block_cost() for a full block, less for a padded one).
-  double ExpandInto(const std::vector<TaskId>& ids, size_t offset,
-                    size_t count, const BinProfile& profile,
-                    DecompositionPlan* plan) const;
-
-  /// Columnar variant: groups are stamped straight into the plan's flat
-  /// columns (one memcpy per group, no per-placement vector).
+  /// Groups are stamped straight into the plan's flat columns (one memcpy
+  /// per group, no per-placement vector). Returns the actual incentive
+  /// cost of the emitted bins (equal to block_cost() for a full block,
+  /// less for a padded one).
   double ExpandInto(const std::vector<TaskId>& ids, size_t offset,
                     size_t count, const BinProfile& profile,
                     ColumnarPlan* plan) const;
@@ -76,19 +71,13 @@ class Combination {
   /// path. Equivalent to calling `ExpandInto(ids, offset + b * lcm(),
   /// lcm(), ...)` for b = 0..blocks-1 (placements appended in the same
   /// order), but materializes the block's placement template (one
-  /// (cardinality, copies, begin) group list) once, bulk-reserves the
-  /// plan's placement storage for all blocks, and stamps the template with
-  /// id offsets instead of re-deriving group bounds per block.
+  /// (cardinality, copies, begin) group list) once, reserves every column
+  /// once (placements AND task-id slots for all blocks), and range-fills
+  /// the template per block -- zero allocations in the steady state of a
+  /// reset-reused arena.
   ///
   /// Returns the total incentive cost of the emitted bins
   /// (`blocks * block_cost()` up to rounding of the per-bin sum).
-  double ExpandBlocksInto(const std::vector<TaskId>& ids, size_t offset,
-                          uint64_t blocks, const BinProfile& profile,
-                          DecompositionPlan* plan) const;
-
-  /// Columnar variant: reserves every column once (placements AND task-id
-  /// slots for all blocks), then range-fills the template per block --
-  /// zero allocations in the steady state of a reset-reused arena.
   double ExpandBlocksInto(const std::vector<TaskId>& ids, size_t offset,
                           uint64_t blocks, const BinProfile& profile,
                           ColumnarPlan* plan) const;

@@ -127,7 +127,7 @@ void ForEachSubset(const std::vector<TaskId>& active, size_t s, Fn&& fn) {
 
 }  // namespace
 
-Result<DecompositionPlan> ExactSmallSolver::Solve(
+Result<ColumnarPlan> ExactSmallSolver::Solve(
     const CrowdsourcingTask& task, const BinProfile& profile) {
   const size_t n = task.size();
   if (n > 10) {
@@ -205,7 +205,7 @@ Result<DecompositionPlan> ExactSmallSolver::Solve(
   }
 
   // Reconstruct the plan by walking parents back to the start state.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   std::vector<SearchAction> actions;
   StateKey cur = goal;
   while (cur != start) {

@@ -45,8 +45,8 @@ class ExactSmallSolver final : public Solver {
 
   /// Fails with ResourceExhausted when the state budget is hit and with
   /// InvalidArgument for n > 10 (guarding against accidental misuse).
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
  private:
   uint64_t state_budget_;

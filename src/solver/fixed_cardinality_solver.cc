@@ -29,7 +29,7 @@ uint32_t FixedCardinalitySolver::BestCardinality(const BinProfile& profile,
   return best_l;
 }
 
-Result<DecompositionPlan> FixedCardinalitySolver::Solve(
+Result<ColumnarPlan> FixedCardinalitySolver::Solve(
     const CrowdsourcingTask& task, const BinProfile& profile) {
   uint32_t l = cardinality_;
   if (l == 0) {
@@ -58,7 +58,7 @@ Result<DecompositionPlan> FixedCardinalitySolver::Solve(
     return needed[a] > needed[b];
   });
 
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   size_t round_size = n;
   for (uint32_t round = 1; round <= max_needed; ++round) {
     // Shrink to the prefix of tasks still needing a `round`-th membership.
@@ -67,9 +67,7 @@ Result<DecompositionPlan> FixedCardinalitySolver::Solve(
     }
     for (size_t start = 0; start < round_size; start += l) {
       const size_t end = std::min<size_t>(start + l, round_size);
-      std::vector<TaskId> members(order.begin() + start,
-                                  order.begin() + end);
-      plan.Add(l, 1, std::move(members));
+      plan.Add(l, 1, order.data() + start, end - start);
     }
   }
   return plan;

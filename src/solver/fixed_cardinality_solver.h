@@ -37,8 +37,8 @@ class FixedCardinalitySolver final : public Solver {
 
   /// Fails with OutOfRange if an explicit cardinality is not in the
   /// profile.
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
   /// The auto-selection rule, exposed for tests/benchmarks: the
   /// cardinality minimizing per-task cost at threshold `theta`.

@@ -52,8 +52,8 @@ uint32_t SelectBin(const BinProfile& profile,
 
 }  // namespace
 
-Result<DecompositionPlan> GreedySolver::Solve(const CrowdsourcingTask& task,
-                                              const BinProfile& profile) {
+Result<ColumnarPlan> GreedySolver::Solve(const CrowdsourcingTask& task,
+                                         const BinProfile& profile) {
   const size_t n = task.size();
   const uint32_t m = profile.max_cardinality();
 
@@ -66,7 +66,9 @@ Result<DecompositionPlan> GreedySolver::Solve(const CrowdsourcingTask& task,
   std::sort(entries.begin(), entries.end(), EntryGreater);
 
   size_t active = n;  // entries[0..active) have residual > 0
-  DecompositionPlan plan;
+  ColumnarPlan plan;
+  std::vector<TaskId> ids;  // scratch: one bin's members
+  ids.reserve(m);
   std::vector<double> prefix(m + 1, 0.0);
   std::vector<Entry> merged;  // scratch for the kFast merge
   merged.reserve(n);
@@ -101,13 +103,12 @@ Result<DecompositionPlan> GreedySolver::Solve(const CrowdsourcingTask& task,
 
     // Lines 6-9: post the bin(s) and lower the residuals.
     for (size_t rep = 0; rep < reps; ++rep) {
-      std::vector<TaskId> ids;
-      ids.reserve(cover);
+      ids.clear();
       const size_t begin = rep * cover;
       for (size_t k = 0; k < cover; ++k) {
         ids.push_back(entries[begin + k].id);
       }
-      plan.Add(l_star, 1, std::move(ids));
+      plan.Add(l_star, 1, ids);
     }
     const size_t touched = reps * cover;
     for (size_t k = 0; k < touched; ++k) {

@@ -49,8 +49,8 @@ class GreedySolver final : public Solver {
 
   std::string name() const override { return "Greedy"; }
 
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
  private:
   Strategy strategy_;

@@ -5,7 +5,7 @@
 
 namespace slade {
 
-Result<DecompositionPlan> OpqExtendedSolver::Solve(
+Result<ColumnarPlan> OpqExtendedSolver::Solve(
     const CrowdsourcingTask& task, const BinProfile& profile) {
   const double theta_min = LogReduction(task.min_threshold());
   const double theta_max = LogReduction(task.max_threshold());
@@ -25,7 +25,7 @@ Result<DecompositionPlan> OpqExtendedSolver::Solve(
   }
 
   // Lines 8-16: per-group Algorithm 3 runs, merged into one plan.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   for (size_t g = 0; g < set.size(); ++g) {
     if (groups[g].empty()) continue;
     SLADE_RETURN_NOT_OK(

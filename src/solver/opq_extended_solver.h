@@ -23,8 +23,8 @@ class OpqExtendedSolver final : public Solver {
 
   std::string name() const override { return "OPQ-Extended"; }
 
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
  private:
   SolverOptions options_;

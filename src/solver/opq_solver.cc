@@ -3,17 +3,12 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "solver/plan_arena.h"
 
 namespace slade {
-namespace {
 
-// Algorithm 3's main loop, shared between the AoS and columnar plan
-// representations (the Expand* overloads pick the stamping strategy).
-template <typename PlanT>
-Status RunOpqAssignmentImpl(const OptimalPriorityQueue& queue,
-                            const std::vector<TaskId>& ids,
-                            const BinProfile& profile, PlanT* plan) {
+Status RunOpqAssignment(const OptimalPriorityQueue& queue,
+                        const std::vector<TaskId>& ids,
+                        const BinProfile& profile, ColumnarPlan* plan) {
   if (queue.size() == 0) {
     return Status::Internal("empty optimal priority queue");
   }
@@ -55,22 +50,8 @@ Status RunOpqAssignmentImpl(const OptimalPriorityQueue& queue,
   return Status::OK();
 }
 
-}  // namespace
-
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, DecompositionPlan* plan) {
-  return RunOpqAssignmentImpl(queue, ids, profile, plan);
-}
-
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, ColumnarPlan* plan) {
-  return RunOpqAssignmentImpl(queue, ids, profile, plan);
-}
-
-Result<DecompositionPlan> OpqSolver::Solve(const CrowdsourcingTask& task,
-                                           const BinProfile& profile) {
+Result<ColumnarPlan> OpqSolver::Solve(const CrowdsourcingTask& task,
+                                      const BinProfile& profile) {
   if (!task.is_homogeneous()) {
     return Status::InvalidArgument(
         "OPQ-Based handles the homogeneous SLADE problem only; "
@@ -84,7 +65,7 @@ Result<DecompositionPlan> OpqSolver::Solve(const CrowdsourcingTask& task,
 
   std::vector<TaskId> ids(task.size());
   std::iota(ids.begin(), ids.end(), 0);
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   SLADE_RETURN_NOT_OK(RunOpqAssignment(queue, ids, profile, &plan));
   return plan;
 }

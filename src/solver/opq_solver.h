@@ -9,8 +9,6 @@
 
 namespace slade {
 
-class ColumnarPlan;
-
 /// \brief Assigns the atomic tasks in `ids` using `queue` (Algorithm 3's
 /// main loop), appending the posted bins to `plan`.
 ///
@@ -28,12 +26,6 @@ class ColumnarPlan;
 /// (Definition 3) for the bins it contains.
 Status RunOpqAssignment(const OptimalPriorityQueue& queue,
                         const std::vector<TaskId>& ids,
-                        const BinProfile& profile, DecompositionPlan* plan);
-
-/// Columnar variant of RunOpqAssignment: identical placement sequence,
-/// stamped into flat columns via the ColumnarPlan Expand* overloads.
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
                         const BinProfile& profile, ColumnarPlan* plan);
 
 /// \brief OPQ-Based approximation solver for the homogeneous SLADE problem
@@ -48,8 +40,8 @@ class OpqSolver final : public Solver {
 
   std::string name() const override { return "OPQ-Based"; }
 
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 
  private:
   SolverOptions options_;

@@ -1,6 +1,7 @@
 #include "solver/plan_arena.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <mutex>
 
 #include "common/math_util.h"
@@ -256,53 +257,6 @@ void ColumnarPlan::AppendRange(const ColumnarPlan& other, size_t first,
   }
 }
 
-void ColumnarPlan::AppendPlan(const DecompositionPlan& plan,
-                              TaskId id_offset) {
-  const std::vector<BinPlacement>& placements = plan.placements();
-  size_t ids = 0;
-  for (const BinPlacement& p : placements) ids += p.tasks.size();
-  Reserve(num_placements() + placements.size(), num_task_ids() + ids);
-  for (const BinPlacement& p : placements) {
-    if (id_offset == 0) {
-      Add(p.cardinality, p.copies, p.tasks.data(), p.tasks.size());
-    } else {
-      TaskId* out = task_ids_.AppendN(*arena_, p.tasks.size());
-      for (size_t k = 0; k < p.tasks.size(); ++k) {
-        out[k] = p.tasks[k] + id_offset;
-      }
-      ends_.PushBack(*arena_, static_cast<uint32_t>(task_ids_.size()));
-      cardinality_.PushBack(*arena_, p.cardinality);
-      copies_.PushBack(*arena_, p.copies);
-    }
-  }
-}
-
-void ColumnarPlan::AppendToPlan(DecompositionPlan* out,
-                                TaskId id_offset) const {
-  out->Reserve(out->placements().size() + num_placements());
-  for (size_t i = 0; i < num_placements(); ++i) {
-    const PlacementView p = view(i);
-    std::vector<TaskId> tasks(p.tasks, p.tasks + p.num_tasks);
-    if (id_offset != 0) {
-      for (TaskId& id : tasks) id += id_offset;
-    }
-    out->Add(p.cardinality, p.copies, std::move(tasks));
-  }
-}
-
-DecompositionPlan ColumnarPlan::ToPlan() const {
-  DecompositionPlan out;
-  AppendToPlan(&out);
-  return out;
-}
-
-ColumnarPlan ColumnarPlan::FromPlan(const DecompositionPlan& plan,
-                                    ResourceGovernor* governor) {
-  ColumnarPlan out(governor);
-  out.AppendPlan(plan);
-  return out;
-}
-
 void ColumnarPlan::Clear() {
   task_ids_.Detach();
   ends_.Detach();
@@ -366,6 +320,23 @@ std::vector<double> ColumnarPlan::PerTaskReliability(const BinProfile& profile,
   std::vector<double> rel(n);
   for (size_t i = 0; i < n; ++i) rel[i] = InverseLogReduction(theta[i]);
   return rel;
+}
+
+std::string ColumnarPlan::Summary(const BinProfile& profile) const {
+  std::vector<uint64_t> counts = BinCounts(profile.max_cardinality());
+  std::string out = "plan {";
+  bool first = true;
+  char buf[64];
+  for (uint32_t l = 1; l < counts.size(); ++l) {
+    if (counts[l] == 0) continue;
+    std::snprintf(buf, sizeof(buf), "%s%llu x b%u", first ? "" : ", ",
+                  static_cast<unsigned long long>(counts[l]), l);
+    out += buf;
+    first = false;
+  }
+  std::snprintf(buf, sizeof(buf), "} cost=%.4f", TotalCost(profile));
+  out += buf;
+  return out;
 }
 
 }  // namespace slade

@@ -1,13 +1,11 @@
 // Copyright (c) the SLADE reproduction authors.
-// Arena-backed columnar decomposition plans.
+// Decomposition plans (paper Definition 3), stored as arena-backed columns.
 //
-// PR 4 made OPQ *construction* allocation-free; this file does the same for
-// plan *materialization* and everything downstream of it. The classic
-// DecompositionPlan is an array-of-structs: every BinPlacement owns its own
-// heap-allocated std::vector<TaskId>, so a million-placement merged plan
-// costs a million allocations to build, a million pointer chases to walk,
-// and a million frees to drop. ColumnarPlan is the structure-of-arrays
-// alternative (Arrow's columnar buffer + memory-pool design is the model):
+// A plan is the posted bins plus the task-to-bin mapping. It is kept as a
+// structure of arrays (Arrow's columnar buffer + memory-pool design is the
+// model) rather than one heap-allocated id vector per placement, so a
+// million-placement merged plan is a handful of arena chunks instead of a
+// million allocations, pointer chases and frees:
 //
 //   task_ids[]    -- every placement's member ids, back to back
 //   ends[]        -- placement i's ids live in
@@ -26,9 +24,10 @@
 //     making plan-materialization memory visible in the same ledger that
 //     already bounds the OPQ cache and the admission queue.
 //
-// Consumers (validation, cost accounting, splitting, merge, dispatch) walk
-// the flat columns with dense loops instead of node-at-a-time traversal;
-// see plan_validator.h, plan_splitter.h, decomposition_engine.h.
+// Every producer (the solvers, the engine, the CSV loader) stamps columns
+// and every consumer (validation, cost accounting, splitting, merge,
+// dispatch, execution) walks them with dense loops; see plan_validator.h,
+// plan_splitter.h, decomposition_engine.h.
 
 #ifndef SLADE_SOLVER_PLAN_ARENA_H_
 #define SLADE_SOLVER_PLAN_ARENA_H_
@@ -37,11 +36,11 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
-#include "solver/plan.h"
 
 namespace slade {
 
@@ -151,7 +150,7 @@ class ArenaColumn {
   /// Grows capacity to at least `n`. A relocation doubles the current
   /// capacity at minimum, so a caller that conservatively Reserves exact
   /// totals before every append (e.g. per ExpandBlocksInto call, or
-  /// AppendPlan in a merge loop) still amortizes to O(1) copies per
+  /// AppendColumns in a merge loop) still amortizes to O(1) copies per
   /// element instead of relocating the whole column each time.
   void Reserve(PlanArena& arena, size_t n) {
     if (n <= capacity_) return;
@@ -195,13 +194,20 @@ class ArenaColumn {
   size_t capacity_ = 0;
 };
 
-/// \brief Structure-of-arrays decomposition plan (see the file comment).
+/// \brief A decomposition plan `DP_T` (see the file comment): which bins
+/// are posted and which atomic tasks each contains.
 ///
-/// Semantically interchangeable with DecompositionPlan -- FromPlan/ToPlan
-/// convert both ways, placement for placement -- but built and consumed as
-/// flat columns. The engine hot path (solve -> merge -> split -> validate
-/// -> dispatch) runs entirely on this representation; the AoS
-/// DecompositionPlan remains the adapter for solvers and cold paths.
+/// The paper's plan notation {tau_i, b_i} only counts bins per
+/// cardinality; the plan additionally records the task-to-bin mapping so
+/// that it can be validated (plan_validator.h) and executed on the
+/// platform simulator (simulator/executor.h).
+///
+/// A placement is `copies` instances of an l-cardinality bin, each holding
+/// exactly the listed atomic tasks. It may list fewer than l tasks:
+/// Definition 1 allows a bin to contain *at most* l distinct atomic tasks,
+/// and the OPQ padding path (Algorithm 3 lines 8-10) posts partially
+/// filled bins for leftover tasks. Producers are trusted; violations in
+/// external input are caught by the validator, not here.
 class ColumnarPlan {
  public:
   /// `governor` (may be null) is charged per arena chunk; it must outlive
@@ -249,8 +255,7 @@ class ColumnarPlan {
   void Reserve(size_t placements, size_t ids);
 
   /// Appends one placement: `copies` instances of an l=`cardinality` bin
-  /// holding the `n` ids at `ids`. No-op when copies == 0 (mirroring
-  /// DecompositionPlan::Add).
+  /// holding the `n` ids at `ids`. No-op when copies == 0.
   void Add(uint32_t cardinality, uint32_t copies, const TaskId* ids,
            size_t n);
   void Add(uint32_t cardinality, uint32_t copies,
@@ -265,21 +270,9 @@ class ColumnarPlan {
 
   /// Column-concatenates placements [first, first + count) of `other`,
   /// shifting every task id by `id_delta` (the splitter's contiguous-run
-  /// fast path).
+  /// fast path, and the global-id rebase of per-task plans).
   void AppendRange(const ColumnarPlan& other, size_t first, size_t count,
                    int64_t id_delta);
-
-  /// Appends an AoS plan, shifting ids by `id_offset` (adapter; reserves
-  /// once up front).
-  void AppendPlan(const DecompositionPlan& plan, TaskId id_offset = 0);
-
-  /// Appends this plan onto an AoS plan, shifting ids by `id_offset`
-  /// (adapter for legacy consumers; reserves `out` once up front).
-  void AppendToPlan(DecompositionPlan* out, TaskId id_offset = 0) const;
-
-  DecompositionPlan ToPlan() const;
-  static ColumnarPlan FromPlan(const DecompositionPlan& plan,
-                               ResourceGovernor* governor = nullptr);
 
   /// Empties the plan and rewinds the arena; the next fill of similar
   /// shape allocates nothing.
@@ -304,6 +297,9 @@ class ColumnarPlan {
   /// never placed get 0.
   std::vector<double> PerTaskReliability(const BinProfile& profile,
                                          size_t n) const;
+
+  /// Human-readable summary: bin counts and total cost.
+  std::string Summary(const BinProfile& profile) const;
 
   const PlanArena& arena() const { return *arena_; }
 

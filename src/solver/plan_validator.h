@@ -7,11 +7,9 @@
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
 #include "common/status.h"
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 namespace slade {
-
-class ColumnarPlan;
 
 /// \brief Structural + reliability validation report.
 struct ValidationReport {
@@ -36,13 +34,12 @@ struct ValidationReport {
 /// Structural violations (1-2) return an error Status; an infeasible but
 /// well-formed plan returns OK with `feasible == false` so callers can
 /// report the margin.
-Result<ValidationReport> ValidatePlan(const DecompositionPlan& plan,
-                                      const CrowdsourcingTask& task,
-                                      const BinProfile& profile);
-
-/// Columnar variant: one fused sweep over the flat columns (bounds, dup
-/// and reliability accumulation in a single pass, per-cardinality weight
-/// lookup table, epoch-stamped dup scratch). Same checks, same report.
+///
+/// One fused sweep over the flat columns: bounds, duplicate and
+/// reliability accumulation in a single pass, per-cardinality weight
+/// lookup table, epoch-stamped duplicate scratch. The reported
+/// `total_cost` is summed in the same sweep, independently of
+/// ColumnarPlan::TotalCost.
 Result<ValidationReport> ValidatePlan(const ColumnarPlan& plan,
                                       const CrowdsourcingTask& task,
                                       const BinProfile& profile);

@@ -5,8 +5,8 @@
 
 namespace slade {
 
-Result<DecompositionPlan> RelaxedDpSolver::Solve(const CrowdsourcingTask& task,
-                                                 const BinProfile& profile) {
+Result<ColumnarPlan> RelaxedDpSolver::Solve(const CrowdsourcingTask& task,
+                                            const BinProfile& profile) {
   const double t_max = task.max_threshold();
   for (uint32_t l = 1; l <= profile.max_cardinality(); ++l) {
     if (profile.bin(l).confidence < t_max) {
@@ -38,17 +38,17 @@ Result<DecompositionPlan> RelaxedDpSolver::Solve(const CrowdsourcingTask& task,
   }
 
   // Reconstruct: walk back through the choices, assigning consecutive ids.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
+  std::vector<TaskId> ids;  // scratch: one bin's members
   size_t j = n;
   while (j > 0) {
     const uint32_t l = choice[j];
     const size_t take = std::min<size_t>(l, j);
-    std::vector<TaskId> ids;
-    ids.reserve(take);
+    ids.clear();
     for (size_t k = j - take; k < j; ++k) {
       ids.push_back(static_cast<TaskId>(k));
     }
-    plan.Add(l, 1, std::move(ids));
+    plan.Add(l, 1, ids);
     j -= take;
   }
   return plan;

@@ -27,8 +27,8 @@ class RelaxedDpSolver final : public Solver {
 
   std::string name() const override { return "Relaxed-DP"; }
 
-  Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                  const BinProfile& profile) override;
+  Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                             const BinProfile& profile) override;
 };
 
 }  // namespace slade

@@ -10,7 +10,7 @@
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
 #include "common/result.h"
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 namespace slade {
 
@@ -54,8 +54,8 @@ class Solver {
   virtual std::string name() const = 0;
 
   /// Computes a feasible decomposition plan.
-  virtual Result<DecompositionPlan> Solve(const CrowdsourcingTask& task,
-                                          const BinProfile& profile) = 0;
+  virtual Result<ColumnarPlan> Solve(const CrowdsourcingTask& task,
+                                     const BinProfile& profile) = 0;
 };
 
 /// \brief Known solver implementations.

@@ -19,7 +19,7 @@ PlatformConfig TestConfig(uint64_t seed = 31) {
 
 TEST(ExecutorTest, EmptyPlanDetectsNothing) {
   Platform platform(TestConfig());
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   const BinProfile profile = BinProfile::PaperExample();
   auto report = ExecutePlan(platform, plan, profile, {true, false, true});
   ASSERT_TRUE(report.ok());
@@ -32,7 +32,7 @@ TEST(ExecutorTest, EmptyPlanDetectsNothing) {
 TEST(ExecutorTest, CostMatchesPlanCost) {
   Platform platform(TestConfig());
   const BinProfile profile = BuildProfile(JellyModel(), 5).ValueOrDie();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 1, 2});
   plan.Add(1, 1, {3});
   auto report =
@@ -45,7 +45,7 @@ TEST(ExecutorTest, CostMatchesPlanCost) {
 TEST(ExecutorTest, RejectsOutOfRangeTask) {
   Platform platform(TestConfig());
   const BinProfile profile = BinProfile::PaperExample();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(1, 1, {5});
   EXPECT_TRUE(ExecutePlan(platform, plan, profile, {true})
                   .status()
@@ -55,7 +55,7 @@ TEST(ExecutorTest, RejectsOutOfRangeTask) {
 TEST(ExecutorTest, AllNegativeGroundTruthGivesPerfectRecall) {
   Platform platform(TestConfig());
   const BinProfile profile = BinProfile::PaperExample();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(1, 1, {0});
   auto report = ExecutePlan(platform, plan, profile, {false});
   ASSERT_TRUE(report.ok());

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/streaming_engine.h"
+#include "plan_signature.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
 
@@ -47,25 +47,6 @@ StreamingOptions ParkedOptions() {
   options.max_pending_atomic_tasks = 1u << 20;
   options.max_delay_seconds = 3600.0;
   return options;
-}
-
-/// A canonical text form of a plan slice, for placement-identity checks:
-/// every placement as (cardinality x copies: sorted task ids).
-std::string PlacementSignature(const RequesterPlan& slice) {
-  std::vector<std::string> parts;
-  const DecompositionPlan plan = slice.plan.ToPlan();
-  for (const BinPlacement& placement : plan.placements()) {
-    std::vector<TaskId> tasks = placement.tasks;
-    std::sort(tasks.begin(), tasks.end());
-    std::ostringstream part;
-    part << placement.cardinality << "x" << placement.copies << ":";
-    for (const TaskId id : tasks) part << id << ",";
-    parts.push_back(part.str());
-  }
-  std::sort(parts.begin(), parts.end());
-  std::ostringstream signature;
-  for (const std::string& part : parts) signature << part << ";";
-  return signature.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +289,7 @@ TEST(FairSchedulerTest, FairnessNeverChangesPlacements) {
     for (auto& future : futures) {
       auto result = future.get();
       EXPECT_TRUE(result.ok());
-      signatures.push_back(PlacementSignature(*result));
+      signatures.push_back(UnorderedPlanSignature(result->plan));
       costs.push_back(result->cost);
     }
     return std::make_pair(signatures, costs);
@@ -361,7 +342,8 @@ TEST(FairSchedulerTest, SingleTenantFairnessMatchesFifoBatching) {
     for (auto& future : futures) {
       auto result = future.get();
       EXPECT_TRUE(result.ok());
-      delivered.emplace_back(result->flush_id, PlacementSignature(*result));
+      delivered.emplace_back(result->flush_id,
+                             UnorderedPlanSignature(result->plan));
     }
     return delivered;
   };

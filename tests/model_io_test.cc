@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "binmodel/profile_model.h"
+#include "plan_signature.h"
 
 namespace slade {
 namespace {
@@ -60,6 +61,20 @@ TEST_F(ModelIoTest, ProfileBadRowRejected) {
   EXPECT_TRUE(LoadBinProfileCsv(path_).status().IsInvalidArgument());
 }
 
+TEST_F(ModelIoTest, ProfileCardinalityAboveUint32Rejected) {
+  // 2^32 + 1 must not narrow to a valid cardinality-1 bin.
+  {
+    std::ofstream out(path_);
+    out << "cardinality,confidence,cost\n4294967297,0.9,0.1\n";
+  }
+  auto loaded = LoadBinProfileCsv(path_);
+  ASSERT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(path_ + ": row 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(ModelIoTest, ThresholdsRoundTrip) {
   auto task = CrowdsourcingTask::FromThresholds({0.5, 0.9, 0.95, 0.86});
   ASSERT_TRUE(SaveThresholdsCsv(*task, path_).ok());
@@ -78,30 +93,51 @@ TEST_F(ModelIoTest, ThresholdsOutOfRangeRejected) {
 }
 
 TEST_F(ModelIoTest, PlanRoundTrip) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 5, 9});
   plan.Add(1, 1, {7});
   plan.Add(2, 4, {1, 2});
   ASSERT_TRUE(SavePlanCsv(plan, path_).ok());
   auto loaded = LoadPlanCsv(path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->placements().size(), 3u);
-  EXPECT_EQ(loaded->placements()[0].cardinality, 3u);
-  EXPECT_EQ(loaded->placements()[0].copies, 2u);
-  EXPECT_EQ(loaded->placements()[0].tasks,
-            (std::vector<TaskId>{0, 5, 9}));
-  EXPECT_EQ(loaded->placements()[2].tasks, (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(PlanSignature(*loaded), "3x2:0;5;9;|1x1:7;|2x4:1;2;|");
   EXPECT_EQ(loaded->TotalBinInstances(), plan.TotalBinInstances());
 }
 
 TEST_F(ModelIoTest, PlanWithEmptyTaskListRoundTrips) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(2, 1, {});
   ASSERT_TRUE(SavePlanCsv(plan, path_).ok());
   auto loaded = LoadPlanCsv(path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->placements().size(), 1u);
-  EXPECT_TRUE(loaded->placements()[0].tasks.empty());
+  ASSERT_EQ(loaded->num_placements(), 1u);
+  EXPECT_EQ(loaded->view(0).num_tasks, 0u);
+}
+
+TEST_F(ModelIoTest, PlanValuesAboveUint32Rejected) {
+  // Each row would narrow to a different, valid plan (a cardinality-1
+  // bin, one copy, task 1) that `slade_cli validate` would then check.
+  for (const char* row :
+       {"4294967297,1,0", "1,4294967297,0", "1,1,0;4294967297"}) {
+    {
+      std::ofstream out(path_);
+      out << "cardinality,copies,tasks\n1,1,0\n" << row << "\n";
+    }
+    auto loaded = LoadPlanCsv(path_);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument())
+        << row << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(path_ + ": row 2"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // UINT32_MAX itself still fits.
+  {
+    std::ofstream out(path_);
+    out << "cardinality,copies,tasks\n1,1,4294967295\n";
+  }
+  auto loaded = LoadPlanCsv(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(PlanSignature(*loaded), "1x1:4294967295;|");
 }
 
 TEST_F(ModelIoTest, LoadMissingFileFails) {

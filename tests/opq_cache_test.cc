@@ -9,7 +9,7 @@
 
 #include "binmodel/profile_model.h"
 #include "solver/opq_solver.h"
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 namespace slade {
 namespace {
@@ -57,7 +57,7 @@ TEST(OpqCacheTest, CachedQueueProducesSamePlanAsFreshBuild) {
 
   std::vector<TaskId> ids(1234);
   std::iota(ids.begin(), ids.end(), 0);
-  DecompositionPlan from_cache, from_fresh;
+  ColumnarPlan from_cache, from_fresh;
   ASSERT_TRUE(
       RunOpqAssignment(*cached->queue, ids, profile, &from_cache).ok());
   ASSERT_TRUE(RunOpqAssignment(*fresh, ids, profile, &from_fresh).ok());
@@ -291,7 +291,7 @@ TEST(OpqCacheTest, EvictedQueueStaysValidForHolderAndRebuildsForRacers) {
   // an in-flight solve keeps working off it.
   std::vector<TaskId> ids(100);
   std::iota(ids.begin(), ids.end(), 0);
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &plan).ok());
   EXPECT_GT(plan.TotalBinInstances(), 0u);
 

@@ -27,7 +27,7 @@ TEST_F(PaperExamplesTest, Example4FeasiblePlansAndCosts) {
 
   // P1: four 2-cardinality bins {a1,a2} x2, {a3,a4} x2; Rel = 0.98 per
   // task; cost 0.72.
-  DecompositionPlan p1;
+  ColumnarPlan p1;
   p1.Add(2, 2, {0, 1});
   p1.Add(2, 2, {2, 3});
   auto r1 = ValidatePlan(p1, *task, profile_);
@@ -37,7 +37,7 @@ TEST_F(PaperExamplesTest, Example4FeasiblePlansAndCosts) {
   EXPECT_NEAR(Reliability({0.85, 0.85}), 0.9775, 1e-9);  // "0.98" in text
 
   // P2 (optimal): {a1,a2,a3}, {a1,a2,a4}, {a3,a4}; cost 0.66.
-  DecompositionPlan p2;
+  ColumnarPlan p2;
   p2.Add(3, 1, {0, 1, 2});
   p2.Add(3, 1, {0, 1, 3});
   p2.Add(2, 1, {2, 3});

@@ -1,31 +1,19 @@
 #include "solver/plan_arena.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/resource_governor.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 
 namespace slade {
 namespace {
-
-std::string Signature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string Signature(const ColumnarPlan& plan) {
-  return Signature(plan.ToPlan());
-}
 
 // --- PlanArena -------------------------------------------------------------
 
@@ -166,22 +154,11 @@ TEST(ColumnarPlanTest, AddAndViewRoundTrip) {
   EXPECT_EQ(v2.tasks[0], 5u);
 }
 
-TEST(ColumnarPlanTest, ZeroCopiesPlacementIsDroppedLikeAoS) {
+TEST(ColumnarPlanTest, ZeroCopiesPlacementIsDropped) {
   ColumnarPlan plan;
   plan.Add(2, 0, {0, 1});
   EXPECT_TRUE(plan.empty());
   EXPECT_EQ(plan.num_task_ids(), 0u);
-}
-
-TEST(ColumnarPlanTest, ConversionRoundTripsBothWays) {
-  DecompositionPlan aos;
-  aos.Add(3, 1, {0, 1, 2});
-  aos.Add(2, 4, {1, 3});
-  aos.Add(2, 1, {2});  // partially filled bin
-  const ColumnarPlan columnar = ColumnarPlan::FromPlan(aos);
-  EXPECT_EQ(Signature(columnar), Signature(aos));
-  const DecompositionPlan back = columnar.ToPlan();
-  EXPECT_EQ(Signature(back), Signature(aos));
 }
 
 TEST(ColumnarPlanTest, AppendColumnsConcatenatesInOrder) {
@@ -191,7 +168,7 @@ TEST(ColumnarPlanTest, AppendColumnsConcatenatesInOrder) {
   b.Add(3, 2, {2, 3, 4});
   b.Add(1, 1, {5});
   a.AppendColumns(b);
-  EXPECT_EQ(Signature(a), "2x1:0;1;|3x2:2;3;4;|1x1:5;|");
+  EXPECT_EQ(PlanSignature(a), "2x1:0;1;|3x2:2;3;4;|1x1:5;|");
 }
 
 TEST(ColumnarPlanTest, AppendRangeShiftsIdsAndSlicesPlacements) {
@@ -201,18 +178,7 @@ TEST(ColumnarPlanTest, AppendRangeShiftsIdsAndSlicesPlacements) {
   src.Add(1, 1, {15});
   ColumnarPlan dst;
   dst.AppendRange(src, 1, 2, /*id_delta=*/-12);
-  EXPECT_EQ(Signature(dst), "3x2:0;1;2;|1x1:3;|");
-}
-
-TEST(ColumnarPlanTest, AppendPlanAndAppendToPlanApplyOffsets) {
-  DecompositionPlan aos;
-  aos.Add(2, 1, {0, 1});
-  ColumnarPlan columnar;
-  columnar.AppendPlan(aos, /*id_offset=*/100);
-  EXPECT_EQ(Signature(columnar), "2x1:100;101;|");
-  DecompositionPlan out;
-  columnar.AppendToPlan(&out, /*id_offset=*/10);
-  EXPECT_EQ(Signature(out), "2x1:110;111;|");
+  EXPECT_EQ(PlanSignature(dst), "3x2:0;1;2;|1x1:3;|");
 }
 
 TEST(ColumnarPlanTest, DeepCopyIsIndependent) {
@@ -222,9 +188,9 @@ TEST(ColumnarPlanTest, DeepCopyIsIndependent) {
   b.Add(1, 1, {2});
   EXPECT_EQ(a.num_placements(), 1u);
   EXPECT_EQ(b.num_placements(), 2u);
-  EXPECT_EQ(Signature(a), "2x1:0;1;|");
+  EXPECT_EQ(PlanSignature(a), "2x1:0;1;|");
   a = b;
-  EXPECT_EQ(Signature(a), Signature(b));
+  EXPECT_EQ(PlanSignature(a), PlanSignature(b));
 }
 
 TEST(ColumnarPlanTest, ClearRewindsArenaForReuse) {
@@ -243,37 +209,54 @@ TEST(ColumnarPlanTest, ClearRewindsArenaForReuse) {
   EXPECT_EQ(plan.arena().num_chunks(), chunks);
 }
 
-TEST(ColumnarPlanTest, AccountingMatchesAoSOnRandomPlans) {
+TEST(ColumnarPlanTest, AccountingMatchesHandSumsOnRandomPlans) {
+  // Every flat accounting pass against a per-placement sum computed here,
+  // and TotalCost also against the validator's independent cost sweep.
   const BinProfile profile = BinProfile::PaperExample();
+  const uint32_t m = profile.max_cardinality();
   std::mt19937_64 rng(20260807);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 1 + rng() % 40;
-    DecompositionPlan aos;
-    ColumnarPlan columnar;
+    std::vector<TaskId> pool(n);
+    for (size_t i = 0; i < n; ++i) pool[i] = static_cast<TaskId>(i);
+    ColumnarPlan plan;
+    double cost = 0.0;
+    uint64_t instances = 0;
+    std::vector<uint64_t> counts(m + 1, 0);
+    std::vector<double> miss(n, 1.0);  // P(every bin misses task i)
     const size_t placements = rng() % 60;
     for (size_t p = 0; p < placements; ++p) {
-      const uint32_t cardinality =
-          1 + static_cast<uint32_t>(rng() % profile.max_cardinality());
+      const uint32_t cardinality = 1 + static_cast<uint32_t>(rng() % m);
       const uint32_t copies = 1 + static_cast<uint32_t>(rng() % 3);
-      std::vector<TaskId> ids;
-      const size_t fill = 1 + rng() % cardinality;
+      const TaskBin& bin = profile.bin(cardinality);
+      // Distinct ids: a partial Fisher-Yates draw from the pool.
+      const size_t fill = 1 + rng() % std::min<size_t>(cardinality, n);
       for (size_t j = 0; j < fill; ++j) {
-        ids.push_back(static_cast<TaskId>(rng() % n));
+        std::swap(pool[j], pool[j + rng() % (n - j)]);
       }
-      aos.Add(cardinality, copies, ids);
-      columnar.Add(cardinality, copies, ids);
+      plan.Add(cardinality, copies, pool.data(), fill);
+      cost += copies * bin.cost;
+      instances += copies;
+      counts[cardinality] += copies;
+      for (size_t j = 0; j < fill; ++j) {
+        for (uint32_t c = 0; c < copies; ++c) {
+          miss[pool[j]] *= 1.0 - bin.confidence;
+        }
+      }
     }
-    EXPECT_NEAR(columnar.TotalCost(profile), aos.TotalCost(profile), 1e-12);
-    EXPECT_EQ(columnar.TotalBinInstances(), aos.TotalBinInstances());
-    EXPECT_EQ(columnar.BinCounts(profile.max_cardinality()),
-              aos.BinCounts(profile.max_cardinality()));
-    const std::vector<double> rel_columnar =
-        columnar.PerTaskReliability(profile, n);
-    const std::vector<double> rel_aos = aos.PerTaskReliability(profile, n);
-    ASSERT_EQ(rel_columnar.size(), rel_aos.size());
+    EXPECT_NEAR(plan.TotalCost(profile), cost, 1e-12);
+    EXPECT_EQ(plan.TotalBinInstances(), instances);
+    EXPECT_EQ(plan.BinCounts(m), counts);
+    const std::vector<double> rel = plan.PerTaskReliability(profile, n);
+    ASSERT_EQ(rel.size(), n);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(rel_columnar[i], rel_aos[i], 1e-12) << "task " << i;
+      EXPECT_NEAR(rel[i], 1.0 - miss[i], 1e-12) << "task " << i;
     }
+    auto task = CrowdsourcingTask::Homogeneous(n, 0.9);
+    ASSERT_TRUE(task.ok());
+    auto report = ValidatePlan(plan, *task, profile);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_NEAR(report->total_cost, plan.TotalCost(profile), 1e-12);
   }
 }
 

@@ -1,16 +1,13 @@
 // Randomized differential suite for the columnar plan pipeline.
 //
-// The contract under test: ColumnarPlan is a *representation* change, not a
-// semantics change. At every layer that was migrated from the AoS
-// DecompositionPlan -- the OPQ assignment loop, the batch engine's
-// shard-merge, the splitter, and the streaming front end -- the columnar
-// path must produce a placement-for-placement identical plan to the legacy
-// AoS path, across pooled/isolated sharing, fairness on/off, 1/4/8 worker
-// threads, and OPQ-cache pressure.
+// The contract under test: the batch engine's sharded, cached, threaded
+// path and the streaming front end built on it produce placement-for-
+// placement the same plan as the serial reference, across pooled/isolated
+// sharing, fairness on/off, 1/4/8 worker threads, and OPQ-cache pressure.
 //
-// The AoS oracle is the untouched scalar path: RunOpqAssignment into a
-// DecompositionPlan at the solver layer, and SolveBatchSequential (which
-// routes through the per-task AoS Solver::Solve) at the engine layer.
+// The oracle is SolveBatchSequential, which loops the per-task
+// OPQ-Extended Solver::Solve over the batch and rebases each task's plan
+// to global ids.
 
 #include <cstdint>
 #include <future>
@@ -24,8 +21,7 @@
 #include "engine/decomposition_engine.h"
 #include "engine/plan_splitter.h"
 #include "engine/streaming_engine.h"
-#include "solver/opq_solver.h"
-#include "solver/plan_arena.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
@@ -34,22 +30,6 @@ namespace slade {
 namespace {
 
 constexpr uint64_t kSuiteSeed = 0xC01D'CAFEull;
-
-// Plans don't expose operator==; compare the serialized placements.
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 BinProfile RandomProfile(std::mt19937_64& rng) {
   const DatasetKind dataset =
@@ -107,41 +87,10 @@ std::vector<CrowdsourcingTask> RandomBatch(std::mt19937_64& rng,
   return tasks;
 }
 
-// --- Solver layer: Algorithm 3's loop, AoS vs columnar ----------------------
-
-TEST(PlanPipelineDifferentialTest, OpqAssignmentColumnarMatchesAoS) {
-  std::mt19937_64 rng(kSuiteSeed);
-  for (int trial = 0; trial < 40; ++trial) {
-    const BinProfile profile = RandomProfile(rng);
-    const double t =
-        0.6 + 0.38 * (static_cast<double>(rng() % 1000) / 1000.0);
-    auto queue = BuildOpq(profile, t);
-    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
-
-    // Global (non-contiguous, non-zero-based) ids, as the threshold-group
-    // sharding of Algorithm 5 produces them.
-    const size_t n = 1 + rng() % 200;
-    const TaskId base = static_cast<TaskId>(rng() % 10'000);
-    std::vector<TaskId> ids;
-    ids.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      ids.push_back(base + static_cast<TaskId>(3 * i));
-    }
-
-    DecompositionPlan aos;
-    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &aos).ok());
-    ColumnarPlan columnar;
-    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &columnar).ok());
-    ASSERT_EQ(PlanSignature(columnar), PlanSignature(aos))
-        << "trial " << trial << " t=" << t << " n=" << n;
-    EXPECT_NEAR(columnar.TotalCost(profile), aos.TotalCost(profile), 1e-12);
-    EXPECT_EQ(columnar.TotalBinInstances(), aos.TotalBinInstances());
-  }
-}
-
 // --- Engine layer: SolveBatch merge, across sharing and thread counts -------
 
-TEST(PlanPipelineDifferentialTest, BatchMergeMatchesAoSReferenceAcrossThreads) {
+TEST(PlanPipelineDifferentialTest,
+     BatchMergeMatchesSequentialReferenceAcrossThreads) {
   std::mt19937_64 rng(kSuiteSeed ^ 0x1);
   for (int trial = 0; trial < 12; ++trial) {
     const BinProfile profile = RandomProfile(rng);
@@ -186,8 +135,8 @@ TEST(PlanPipelineDifferentialTest, BatchMergeMatchesAoSReferenceAcrossThreads) {
         }
       }
       if (sharing == BatchSharing::kIsolated) {
-        // Isolated batches are pinned to the legacy AoS path: the per-task
-        // scalar solver merged with AppendPlan.
+        // Isolated batches are pinned to the serial reference: the per-task
+        // solver, each plan rebased to global ids.
         auto sequential = SolveBatchSequential(tasks, profile);
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         EXPECT_EQ(reference_signature, PlanSignature(sequential->plan))
@@ -221,7 +170,7 @@ TEST(PlanPipelineDifferentialTest, StreamingSlicesMatchSequentialReference) {
       submissions.push_back(std::move(submission));
     }
 
-    // Per-submission AoS reference: the sequential scalar path.
+    // Per-submission reference: the sequential scalar path.
     std::vector<std::string> reference;
     for (const Submission& submission : submissions) {
       auto sequential = SolveBatchSequential(submission.tasks, profile);

@@ -1,4 +1,4 @@
-#include "solver/plan.h"
+#include "solver/plan_arena.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@ namespace slade {
 namespace {
 
 TEST(PlanTest, EmptyPlan) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   EXPECT_TRUE(plan.empty());
   EXPECT_EQ(plan.TotalBinInstances(), 0u);
   EXPECT_DOUBLE_EQ(plan.TotalCost(BinProfile::PaperExample()), 0.0);
@@ -14,7 +14,7 @@ TEST(PlanTest, EmptyPlan) {
 
 TEST(PlanTest, TotalCostSumsCopies) {
   const BinProfile p = BinProfile::PaperExample();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 1, 2});  // 2 * 0.24
   plan.Add(1, 1, {3});        // 0.10
   EXPECT_NEAR(plan.TotalCost(p), 0.58, 1e-12);
@@ -22,13 +22,13 @@ TEST(PlanTest, TotalCostSumsCopies) {
 }
 
 TEST(PlanTest, ZeroCopiesIsIgnored) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(1, 0, {0});
   EXPECT_TRUE(plan.empty());
 }
 
 TEST(PlanTest, BinCountsIndexedByCardinality) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 1, 2});
   plan.Add(3, 1, {3});
   plan.Add(1, 5, {0});
@@ -40,7 +40,7 @@ TEST(PlanTest, BinCountsIndexedByCardinality) {
 
 TEST(PlanTest, PerTaskReliabilityMatchesEquation1) {
   const BinProfile p = BinProfile::PaperExample();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 1, 2});  // tasks 0-2: two bins of r=0.8
   plan.Add(2, 1, {2, 3});     // task 2 also one bin of r=0.85
   auto rel = plan.PerTaskReliability(p, 4);
@@ -51,17 +51,17 @@ TEST(PlanTest, PerTaskReliabilityMatchesEquation1) {
 }
 
 TEST(PlanTest, AppendMergesPlacements) {
-  DecompositionPlan a, b;
+  ColumnarPlan a, b;
   a.Add(1, 1, {0});
   b.Add(2, 3, {1, 2});
-  a.Append(std::move(b));
-  EXPECT_EQ(a.placements().size(), 2u);
+  a.AppendColumns(b);
+  EXPECT_EQ(a.num_placements(), 2u);
   EXPECT_EQ(a.TotalBinInstances(), 4u);
 }
 
 TEST(PlanTest, SummaryMentionsBinCountsAndCost) {
   const BinProfile p = BinProfile::PaperExample();
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0, 1, 2});
   plan.Add(1, 2, {3});
   const std::string s = plan.Summary(p);

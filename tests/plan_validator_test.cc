@@ -18,7 +18,7 @@ class PlanValidatorTest : public ::testing::Test {
 
 TEST_F(PlanValidatorTest, AcceptsPaperPlanP2) {
   // Example 4's optimal P2: {a1,a2,a3}, {a1,a2,a4}, {a3,a4}.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 1, {0, 1, 2});
   plan.Add(3, 1, {0, 1, 3});
   plan.Add(2, 1, {2, 3});
@@ -30,7 +30,7 @@ TEST_F(PlanValidatorTest, AcceptsPaperPlanP2) {
 }
 
 TEST_F(PlanValidatorTest, DetectsInfeasiblePlan) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 1, {0, 1, 2});  // one 0.8-bin: Rel = 0.8 < 0.95
   plan.Add(1, 2, {3});
   auto report = ValidatePlan(plan, task_, profile_);
@@ -41,35 +41,35 @@ TEST_F(PlanValidatorTest, DetectsInfeasiblePlan) {
 }
 
 TEST_F(PlanValidatorTest, RejectsOverfullBin) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(2, 1, {0, 1, 2});  // 3 tasks in a 2-bin
   EXPECT_TRUE(
       ValidatePlan(plan, task_, profile_).status().IsInvalidArgument());
 }
 
 TEST_F(PlanValidatorTest, RejectsDuplicateTaskInBin) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 1, {0, 0, 1});
   EXPECT_TRUE(
       ValidatePlan(plan, task_, profile_).status().IsInvalidArgument());
 }
 
 TEST_F(PlanValidatorTest, RejectsUnknownCardinality) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(4, 1, {0, 1, 2});
   EXPECT_TRUE(
       ValidatePlan(plan, task_, profile_).status().IsInvalidArgument());
 }
 
 TEST_F(PlanValidatorTest, RejectsOutOfRangeTaskId) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(1, 1, {17});
   EXPECT_TRUE(ValidatePlan(plan, task_, profile_).status().IsOutOfRange());
 }
 
 TEST_F(PlanValidatorTest, PartiallyFilledBinIsLegal) {
   // Definition 1: a bin holds AT MOST l tasks.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(3, 2, {0});
   plan.Add(3, 2, {1});
   plan.Add(3, 2, {2});
@@ -80,7 +80,7 @@ TEST_F(PlanValidatorTest, PartiallyFilledBinIsLegal) {
 }
 
 TEST_F(PlanValidatorTest, EmptyPlanIsInfeasibleButWellFormed) {
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   auto report = ValidatePlan(plan, task_, profile_);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->feasible);
@@ -88,7 +88,7 @@ TEST_F(PlanValidatorTest, EmptyPlanIsInfeasibleButWellFormed) {
 
 TEST_F(PlanValidatorTest, HeterogeneousThresholdsChecked) {
   auto hetero = CrowdsourcingTask::FromThresholds({0.5, 0.95});
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   plan.Add(1, 1, {0});  // r=0.9 >= 0.5: fine
   plan.Add(1, 1, {1});  // r=0.9 < 0.95: violates a2
   auto report = ValidatePlan(plan, *hetero, profile_);
@@ -97,23 +97,19 @@ TEST_F(PlanValidatorTest, HeterogeneousThresholdsChecked) {
   EXPECT_EQ(report->worst_task, 1u);
 }
 
-// --- ColumnarPlan overload: same checks, same reports ----------------------
-
-TEST_F(PlanValidatorTest, ColumnarMatchesAoSReportOnFeasiblePlan) {
-  DecompositionPlan aos;
-  aos.Add(3, 1, {0, 1, 2});
-  aos.Add(3, 1, {0, 1, 3});
-  aos.Add(2, 1, {2, 3});
-  auto aos_report = ValidatePlan(aos, task_, profile_);
-  auto columnar_report =
-      ValidatePlan(ColumnarPlan::FromPlan(aos), task_, profile_);
-  ASSERT_TRUE(aos_report.ok());
-  ASSERT_TRUE(columnar_report.ok());
-  EXPECT_EQ(columnar_report->feasible, aos_report->feasible);
-  EXPECT_EQ(columnar_report->worst_task, aos_report->worst_task);
-  EXPECT_DOUBLE_EQ(columnar_report->worst_log_margin,
-                   aos_report->worst_log_margin);
-  EXPECT_DOUBLE_EQ(columnar_report->total_cost, aos_report->total_cost);
+TEST_F(PlanValidatorTest, ReportsWorstTaskAndMarginOfFeasiblePlan) {
+  // P2 again: a1 and a2 sit in two 3-bins, a3 and a4 in one 3-bin and one
+  // 2-bin, so a1 (the first of the tied pair) holds the worst margin.
+  ColumnarPlan plan;
+  plan.Add(3, 1, {0, 1, 2});
+  plan.Add(3, 1, {0, 1, 3});
+  plan.Add(2, 1, {2, 3});
+  auto report = ValidatePlan(plan, task_, profile_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->feasible);
+  EXPECT_EQ(report->worst_task, 0u);
+  EXPECT_NEAR(report->worst_log_margin,
+              2 * profile_.bin(3).log_weight() - task_.theta(0), 1e-12);
 }
 
 TEST_F(PlanValidatorTest, ColumnarRejectsSameStructuralViolations) {
@@ -146,7 +142,7 @@ TEST_F(PlanValidatorTest, DuplicateDetectionSpansOnlyOnePlacement) {
   // The same id in two different placements is legal (that is how copies
   // accumulate reliability); the epoch-stamped scratch must reset between
   // placements.
-  DecompositionPlan plan;
+  ColumnarPlan plan;
   for (int i = 0; i < 10; ++i) plan.Add(3, 1, {0, 1, 2});
   plan.Add(1, 3, {3});
   auto report = ValidatePlan(plan, task_, profile_);
@@ -162,30 +158,23 @@ TEST_F(PlanValidatorTest, LargePlanValidatesInLinearTime) {
   constexpr size_t kTasks = 100'000;
   auto task = CrowdsourcingTask::Homogeneous(kTasks, 0.95);
   ASSERT_TRUE(task.ok());
-  DecompositionPlan aos;
-  aos.Reserve(kTasks);
-  ColumnarPlan columnar;
-  columnar.Reserve(kTasks, 3 * kTasks);
+  ColumnarPlan plan;
+  plan.Reserve(kTasks, 3 * kTasks);
   for (size_t i = 0; i < kTasks; i += 3) {
     const TaskId a = static_cast<TaskId>(i);
     const TaskId b = static_cast<TaskId>((i + 1) % kTasks);
     const TaskId c = static_cast<TaskId>((i + 2) % kTasks);
-    aos.Add(3, 2, {a, b, c});
-    columnar.Add(3, 2, {a, b, c});
+    plan.Add(3, 2, {a, b, c});
   }
   // Pad every task over the 0.95 threshold (2 * w(0.8) suffices; add 1-bins
   // for margin uniformity).
   const auto start = std::chrono::steady_clock::now();
-  auto aos_report = ValidatePlan(aos, *task, profile_);
-  auto columnar_report = ValidatePlan(columnar, *task, profile_);
+  auto report = ValidatePlan(plan, *task, profile_);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  ASSERT_TRUE(aos_report.ok());
-  ASSERT_TRUE(columnar_report.ok());
-  EXPECT_EQ(columnar_report->feasible, aos_report->feasible);
-  EXPECT_DOUBLE_EQ(columnar_report->worst_log_margin,
-                   aos_report->worst_log_margin);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->feasible);
   EXPECT_LT(seconds, 5.0) << "validation is no longer linear";
 }
 

@@ -34,7 +34,7 @@ const char* StatusCodeToString(StatusCode code);
 /// is cheap to construct, copy and test. All library entry points that can
 /// fail return `Status` (or `Result<T>`, see result.h); the library never
 /// throws.
-class Status {
+class [[nodiscard]] Status {
  public:
   /// Creates an OK status.
   Status() noexcept = default;

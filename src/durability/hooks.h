@@ -49,9 +49,11 @@ struct RecoveredSubmission {
 
 /// \brief Journal callbacks the streaming engine drives. All methods are
 /// thread-safe. Record* calls may fail with IOError once the underlying
-/// log is dead; the engine surfaces admit failures to the submitter and
-/// counts outcome failures (delivery still proceeds — losing the log
-/// degrades durability, not availability of already-solved plans).
+/// log is dead. The engine surfaces admit failures to the submitter; for
+/// outcome, reject and sync failures delivery still proceeds (losing the
+/// log degrades durability, not availability of already-solved plans),
+/// so the implementation must count them itself — SubmissionJournal
+/// reports them as JournalStats::append_errors.
 class DurabilityHooks {
  public:
   virtual ~DurabilityHooks() = default;

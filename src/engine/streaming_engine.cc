@@ -42,7 +42,8 @@ StreamingOptions Sanitized(StreamingOptions options) {
 
 StreamingEngine::StreamingEngine(BinProfile profile, StreamingOptions options)
     : options_(Sanitized(options)),
-      profile_(std::move(profile)),
+      unrouted_{std::string(), 0, 0,
+                std::make_shared<const BinProfile>(std::move(profile))},
       engine_(ToEngineOptions(options_)),
       governor_(options_.resources.queue_max_bytes,
                 options_.resources.queue_max_atomic_tasks),
@@ -125,31 +126,27 @@ uint64_t StreamingEngine::WeightOf(const std::string& tenant) const {
   return it->second;
 }
 
-bool StreamingEngine::AnyPendingLocked() const {
-  return options_.fairness.enabled ? pending_count_ > 0 : !pending_.empty();
-}
-
-size_t StreamingEngine::PendingCountLocked() const {
-  return options_.fairness.enabled ? pending_count_ : pending_.size();
+const std::string& StreamingEngine::TenantKeyOf(
+    const std::string& requester) const {
+  static const std::string kSharedTenant;
+  return options_.fairness.enabled ? requester : kSharedTenant;
 }
 
 bool StreamingEngine::HasRoomLocked(const Pending& pending) const {
-  if (!AnyPendingLocked()) return true;
+  if (pending_count_ == 0) return true;
   return governor_.WouldFit(pending.bytes, pending.num_atomic);
 }
 
-std::chrono::steady_clock::time_point StreamingEngine::OldestAdmittedLocked()
-    const {
-  if (!options_.fairness.enabled) return pending_.front().admitted;
-  // Per-tenant queues are FIFO, so the global oldest is among the fronts.
-  const Pending* oldest = nullptr;
-  for (const auto& [tenant, state] : tenants_) {
+StreamingEngine::TenantState& StreamingEngine::OldestTenantLocked() {
+  TenantState* oldest = nullptr;
+  for (auto& [tenant, state] : tenants_) {
     if (state.queue.empty()) continue;
-    if (oldest == nullptr || state.queue.front().seq < oldest->seq) {
-      oldest = &state.queue.front();
+    if (oldest == nullptr ||
+        state.queue.front().seq < oldest->queue.front().seq) {
+      oldest = &state;
     }
   }
-  return oldest->admitted;
+  return *oldest;
 }
 
 void StreamingEngine::EnqueueLocked(Pending pending) {
@@ -158,11 +155,8 @@ void StreamingEngine::EnqueueLocked(Pending pending) {
   stats_.tasks += pending.tasks.size();
   stats_.atomic_tasks += pending.num_atomic;
   pending_atomic_ += pending.num_atomic;
-  if (!options_.fairness.enabled) {
-    pending_.push_back(std::move(pending));
-    return;
-  }
-  TenantState& state = tenants_[pending.requester];
+  const std::string& tenant = TenantKeyOf(pending.requester);
+  TenantState& state = tenants_[tenant];
   state.counters.submissions += 1;
   state.counters.tasks += pending.tasks.size();
   state.counters.atomic_tasks += pending.num_atomic;
@@ -171,32 +165,18 @@ void StreamingEngine::EnqueueLocked(Pending pending) {
   pending_count_ += 1;
   if (!state.in_ring) {
     state.in_ring = true;
-    ring_.push_back(pending.requester);
+    ring_.push_back(tenant);
   }
   state.queue.push_back(std::move(pending));
 }
 
 StreamingEngine::Pending StreamingEngine::PopOldestLocked() {
-  if (!options_.fairness.enabled) {
-    Pending victim = std::move(pending_.front());
-    pending_.pop_front();
-    pending_atomic_ -= victim.num_atomic;
-    governor_.Release(victim.bytes, victim.num_atomic);
-    return victim;
-  }
-  TenantState* best = nullptr;
-  for (auto& [tenant, state] : tenants_) {
-    if (state.queue.empty()) continue;
-    if (best == nullptr ||
-        state.queue.front().seq < best->queue.front().seq) {
-      best = &state;
-    }
-  }
-  Pending victim = std::move(best->queue.front());
-  best->queue.pop_front();
-  best->pending_atomic -= victim.num_atomic;
-  best->pending_bytes -= victim.bytes;
-  best->counters.shed += 1;
+  TenantState& oldest = OldestTenantLocked();
+  Pending victim = std::move(oldest.queue.front());
+  oldest.queue.pop_front();
+  oldest.pending_atomic -= victim.num_atomic;
+  oldest.pending_bytes -= victim.bytes;
+  oldest.counters.shed += 1;
   pending_count_ -= 1;
   pending_atomic_ -= victim.num_atomic;
   governor_.Release(victim.bytes, victim.num_atomic);
@@ -204,24 +184,16 @@ StreamingEngine::Pending StreamingEngine::PopOldestLocked() {
 }
 
 std::vector<StreamingEngine::Pending> StreamingEngine::AssembleBatchLocked() {
-  std::vector<Pending> batch;
-  if (!options_.fairness.enabled) {
-    batch.reserve(pending_.size());
-    for (Pending& p : pending_) {
-      governor_.Release(p.bytes, p.num_atomic);
-      batch.push_back(std::move(p));
-    }
-    pending_.clear();
-    pending_atomic_ = 0;
-    return batch;
-  }
-
   // Deficit round-robin over the active tenant ring. Each visit earns
   // quantum * weight atomic tasks of credit; whole submissions are taken
-  // FIFO while credit lasts. The flush caps bound one micro-batch (the
-  // batch always takes at least one submission, so an oversized
-  // submission still progresses); leftovers stay queued for the next
-  // batch, which the worker starts immediately.
+  // FIFO while credit lasts. With fairness on, the flush caps bound one
+  // micro-batch (the batch always takes at least one submission, so an
+  // oversized submission still progresses); leftovers stay queued for the
+  // next batch, which the worker starts immediately. With fairness off
+  // the one shared tenant is credited its whole pending load, so a single
+  // visit takes its entire queue.
+  std::vector<Pending> batch;
+  const bool capped = options_.fairness.enabled;
   const uint64_t quantum = options_.fairness.quantum_atomic_tasks;
   size_t batch_atomic = 0;
   bool full = false;
@@ -236,11 +208,11 @@ std::vector<StreamingEngine::Pending> StreamingEngine::AssembleBatchLocked() {
       ring_.pop_front();
       continue;
     }
-    state.deficit += quantum * WeightOf(tenant);
+    state.deficit += capped ? quantum * WeightOf(tenant) : state.pending_atomic;
     while (!state.queue.empty() &&
            state.queue.front().num_atomic <= state.deficit) {
       const Pending& front = state.queue.front();
-      if (!batch.empty() &&
+      if (capped && !batch.empty() &&
           (batch.size() >= options_.max_pending_submissions ||
            batch_atomic + front.num_atomic >
                options_.max_pending_atomic_tasks)) {
@@ -285,11 +257,12 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
     return future;
   }
 
-  // Registry mode: pick the serving platform now and pin its current
-  // epoch. Everything after admission -- the batch solve, the cache key,
-  // the billing echo -- uses this snapshot, so a promotion between
-  // admission and flush never reroutes or re-plans admitted work.
-  PlatformSnapshot routed;
+  // Pin the serving snapshot now: the constructor profile's, or in
+  // registry mode the routed platform's current epoch. Everything after
+  // admission -- the batch solve, the cache key, the billing echo -- uses
+  // this snapshot, so a promotion between admission and flush never
+  // reroutes or re-plans admitted work.
+  PlatformSnapshot serving = unrouted_;
   if (options_.registry != nullptr) {
     Result<PlatformSnapshot> route = options_.registry->Route(
         requester_id, tasks, options_.routing, platform_hint);
@@ -298,7 +271,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
       promise.set_value(route.status());
       return future;
     }
-    routed = std::move(*route);
+    serving = std::move(*route);
   }
 
   DurabilityHooks* const hooks = options_.durability;
@@ -368,10 +341,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
   Pending pending;
   pending.requester = std::move(requester_id);
   pending.submission_id = std::move(submission_id);
-  pending.platform = routed.platform_id;
-  pending.epoch = routed.epoch;
-  pending.salt = routed.salt;
-  pending.profile = routed.profile;
+  pending.serving = serving;
   for (const CrowdsourcingTask& t : tasks) pending.num_atomic += t.size();
   pending.tasks = std::move(tasks);
   pending.bytes = sizeof(Pending) + pending.requester.capacity() +
@@ -387,7 +357,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
   const FairnessOptions& fairness = options_.fairness;
   bool admitted = true;
   bool shutdown_refused = false;
-  bool quota_refused = false;
+  std::string quota_refused;  // the tripped tenant cap(s); empty = none
   std::vector<Pending> shed;  // promises fulfilled after the lock drops
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -401,19 +371,20 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
       const auto it = tenants_.find(pending.requester);
       if (it != tenants_.end() && !it->second.queue.empty()) {
         TenantState& state = it->second;
-        const bool over_atomic =
-            fairness.tenant_max_pending_atomic_tasks > 0 &&
-            state.pending_atomic + pending.num_atomic >
-                fairness.tenant_max_pending_atomic_tasks;
-        const bool over_bytes =
-            fairness.tenant_max_pending_bytes > 0 &&
-            state.pending_bytes + pending.bytes >
-                fairness.tenant_max_pending_bytes;
-        if (over_atomic || over_bytes) {
+        const uint64_t max_atomic = fairness.tenant_max_pending_atomic_tasks;
+        const uint64_t max_bytes = fairness.tenant_max_pending_bytes;
+        if (max_atomic > 0 &&
+            state.pending_atomic + pending.num_atomic > max_atomic) {
+          quota_refused = std::to_string(max_atomic) + " atomic tasks";
+        }
+        if (max_bytes > 0 && state.pending_bytes + pending.bytes > max_bytes) {
+          if (!quota_refused.empty()) quota_refused += " / ";
+          quota_refused += std::to_string(max_bytes) + " bytes";
+        }
+        if (!quota_refused.empty()) {
           state.counters.rejected_quota += 1;
           stats_.rejected_tenant_quota += 1;
           admitted = false;
-          quota_refused = true;
           // Kick a flush anyway: draining is what shrinks the tenant's
           // pending load below its quota.
           flush_requested_ = true;
@@ -453,7 +424,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
           // Evict pending submissions oldest-first until the newcomer
           // fits. If it is bigger than the whole cap, the queue empties
           // and the empty-queue rule admits it alone.
-          while (!HasRoomLocked(pending) && AnyPendingLocked()) {
+          while (!HasRoomLocked(pending) && pending_count_ > 0) {
             stats_.shed += 1;
             shed.push_back(PopOldestLocked());
           }
@@ -473,7 +444,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
   if (admitted) {
     wake_.notify_one();
     if (options_.registry != nullptr) {
-      options_.registry->RecordRouted(routed.platform_id, routed_tasks,
+      options_.registry->RecordRouted(serving.platform_id, routed_tasks,
                                       routed_atomic);
     }
   }
@@ -482,14 +453,16 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
     // Close journaled ids that will never complete. Buffered, not
     // synced: losing a reject record to a crash merely re-admits work
     // the client was told to retry — safe, since a rejection is never
-    // billed and never dedupable.
+    // billed and never dedupable. For the same reason a failed append
+    // does not change the client's answer; the journal counts it in its
+    // append_errors.
     for (const Pending& victim : shed) {
       if (!victim.submission_id.empty()) {
-        hooks->RecordReject(victim.submission_id);
+        static_cast<void>(hooks->RecordReject(victim.submission_id));
       }
     }
     if (!admitted && !pending.submission_id.empty()) {
-      hooks->RecordReject(pending.submission_id);
+      static_cast<void>(hooks->RecordReject(pending.submission_id));
     }
   }
 
@@ -504,14 +477,10 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
       status = Status::ResourceExhausted(
           "StreamingEngine: engine shut down while submission "
           "was blocked on a full admission queue");
-    } else if (quota_refused) {
+    } else if (!quota_refused.empty()) {
       status = Status::ResourceExhausted(
           "StreamingEngine: tenant quota exceeded for requester '" +
-          pending.requester + "' (" +
-          std::to_string(fairness.tenant_max_pending_atomic_tasks) +
-          " atomic tasks / " +
-          std::to_string(fairness.tenant_max_pending_bytes) +
-          " bytes pending cap)");
+          pending.requester + "' (" + quota_refused + " pending cap)");
     } else {
       status = Status::ResourceExhausted(
           "StreamingEngine: admission queue full (" +
@@ -527,7 +496,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
 void StreamingEngine::Flush() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!AnyPendingLocked()) return;
+    if (pending_count_ == 0) return;
     flush_requested_ = true;
   }
   wake_.notify_one();
@@ -535,11 +504,11 @@ void StreamingEngine::Flush() {
 
 void StreamingEngine::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (AnyPendingLocked()) {
+  if (pending_count_ > 0) {
     flush_requested_ = true;
     wake_.notify_one();
   }
-  drained_.wait(lock, [&] { return !AnyPendingLocked() && in_flight_ == 0; });
+  drained_.wait(lock, [&] { return pending_count_ == 0 && in_flight_ == 0; });
 }
 
 StreamingStats StreamingEngine::stats() const {
@@ -547,7 +516,7 @@ StreamingStats StreamingEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats = stats_;
-    stats.queue_submissions = PendingCountLocked();
+    stats.queue_submissions = pending_count_;
     stats.queue_atomic_tasks = pending_atomic_;
   }
   const GovernorCounters counters = governor_.counters();
@@ -559,6 +528,7 @@ StreamingStats StreamingEngine::stats() const {
 
 std::vector<TenantStats> StreamingEngine::tenant_stats() const {
   std::vector<TenantStats> out;
+  if (!options_.fairness.enabled) return out;
   std::lock_guard<std::mutex> lock(mutex_);
   out.reserve(tenants_.size());
   for (const auto& [tenant, state] : tenants_) {
@@ -574,7 +544,7 @@ std::vector<TenantStats> StreamingEngine::tenant_stats() const {
 }
 
 bool StreamingEngine::SizeTriggeredLocked() const {
-  return PendingCountLocked() >= options_.max_pending_submissions ||
+  return pending_count_ >= options_.max_pending_submissions ||
          pending_atomic_ >= options_.max_pending_atomic_tasks;
 }
 
@@ -583,11 +553,11 @@ void StreamingEngine::WorkerLoop() {
   for (;;) {
     bool deadline_hit = false;
     while (!shutdown_ && !flush_requested_ && !SizeTriggeredLocked()) {
-      if (!AnyPendingLocked()) {
+      if (pending_count_ == 0) {
         wake_.wait(lock);
       } else {
         const auto deadline =
-            OldestAdmittedLocked() +
+            OldestTenantLocked().queue.front().admitted +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(options_.max_delay_seconds));
         if (wake_.wait_until(lock, deadline) == std::cv_status::timeout) {
@@ -596,7 +566,7 @@ void StreamingEngine::WorkerLoop() {
         }
       }
     }
-    if (!AnyPendingLocked()) {
+    if (pending_count_ == 0) {
       flush_requested_ = false;
       if (shutdown_) return;
       continue;
@@ -612,7 +582,7 @@ void StreamingEngine::WorkerLoop() {
     std::vector<Pending> batch = AssembleBatchLocked();
     // A fairness batch is bounded by the flush caps, so work may remain;
     // keep the worker draining it without waiting for a new trigger.
-    if (AnyPendingLocked()) flush_requested_ = true;
+    if (pending_count_ > 0) flush_requested_ = true;
     const size_t batch_size = batch.size();
     in_flight_ += batch_size;
     // The queue just shrank: submitters blocked on backpressure may admit
@@ -624,45 +594,31 @@ void StreamingEngine::WorkerLoop() {
     lock.lock();
 
     in_flight_ -= batch_size;
-    if (!AnyPendingLocked() && in_flight_ == 0) drained_.notify_all();
+    if (pending_count_ == 0 && in_flight_ == 0) drained_.notify_all();
   }
 }
 
 void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
                                    FlushReason reason) {
-  // Partition the micro-batch by serving (platform, epoch). Without a
-  // registry every submission lands in one group keyed by the engine's
-  // fixed profile (salt 0) -- exactly the previous single-solve path. In
-  // registry mode each group solves against its members' admission-epoch
-  // snapshot, so submissions admitted before a promotion are planned
-  // under the profile they were admitted with. Groups preserve admission
-  // order, and members keep their admission order within a group.
+  // Partition the micro-batch by serving (platform, epoch). Each group
+  // solves against its members' admission-epoch snapshot, so submissions
+  // admitted before a promotion are planned under the profile they were
+  // admitted with; without a registry every submission shares the one
+  // unrouted snapshot and the batch is one group. Groups preserve
+  // admission order, and members keep their admission order within a
+  // group.
   struct Group {
-    const BinProfile* profile = nullptr;
-    uint64_t salt = 0;
+    const PlatformSnapshot* serving = nullptr;
     std::vector<size_t> members;  ///< indices into `batch`
   };
   std::vector<Group> groups;
-  if (options_.registry == nullptr) {
-    Group group;
-    group.profile = &profile_;
-    group.members.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) group.members[i] = i;
-    groups.push_back(std::move(group));
-  } else {
-    std::map<std::pair<std::string, uint64_t>, size_t> index;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto key = std::make_pair(batch[i].platform, batch[i].epoch);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        it = index.emplace(key, groups.size()).first;
-        Group group;
-        group.profile = batch[i].profile.get();
-        group.salt = batch[i].salt;
-        groups.push_back(std::move(group));
-      }
-      groups[it->second].members.push_back(i);
-    }
+  std::map<std::pair<std::string, uint64_t>, size_t> index;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PlatformSnapshot& serving = batch[i].serving;
+    const auto [it, inserted] = index.emplace(
+        std::make_pair(serving.platform_id, serving.epoch), groups.size());
+    if (inserted) groups.push_back(Group{&serving, {}});
+    groups[it->second].members.push_back(i);
   }
 
   // Solve each group and scatter its slices back to the batch slots. A
@@ -688,12 +644,12 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
       for (CrowdsourcingTask& t : p.tasks) tasks.push_back(std::move(t));
     }
 
+    const BinProfile& profile = *group.serving->profile;
     Result<BatchReport> report =
-        engine_.SolveBatch(tasks, *group.profile, group.salt);
+        engine_.SolveBatch(tasks, profile, group.serving->salt);
     Result<std::vector<RequesterPlan>> slices =
-        report.ok()
-            ? PlanSplitter::SplitBySpans(*report, *group.profile, spans)
-            : Result<std::vector<RequesterPlan>>(report.status());
+        report.ok() ? PlanSplitter::SplitBySpans(*report, profile, spans)
+                    : Result<std::vector<RequesterPlan>>(report.status());
     if (!slices.ok()) {
       for (size_t i : group.members) status_of[i] = slices.status();
       continue;
@@ -704,8 +660,8 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
     for (size_t k = 0; k < group.members.size(); ++k) {
       const size_t i = group.members[k];
       slice_of[i] = std::move((*slices)[k]);
-      slice_of[i].platform = batch[i].platform;
-      slice_of[i].epoch = batch[i].epoch;
+      slice_of[i].platform = batch[i].serving.platform_id;
+      slice_of[i].epoch = batch[i].serving.epoch;
       slice_cost_total += slice_of[i].cost;
     }
   }
@@ -720,15 +676,20 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
   DurabilityHooks* const hooks = options_.durability;
   if (hooks != nullptr) {
     // Journal every outcome of the micro-batch, then pay one durability
-    // barrier before any future resolves: an acked outcome is always on
-    // disk. SyncOutcomes also publishes the outcomes to the duplicate-id
-    // map; the ids retire from active_ids_ under the stats lock below,
-    // so a concurrent duplicate submit never falls between the two.
+    // barrier before any future resolves: while the log is healthy, an
+    // acked outcome is always on disk. SyncOutcomes also publishes the
+    // outcomes to the duplicate-id map; the ids retire from active_ids_
+    // under the stats lock below, so a concurrent duplicate submit never
+    // falls between the two. A failed outcome append or barrier does not
+    // hold back delivery -- a lost log degrades durability, not the
+    // availability of plans already solved -- and the journal counts each
+    // failure in its append_errors. A failed Compact leaves its segments
+    // for the next flush's pass.
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!status_of[i].ok()) {
         // A failed solve closes the id without an outcome: the client
         // sees the error and may retry the same id for a real solve.
-        hooks->RecordReject(batch[i].submission_id);
+        static_cast<void>(hooks->RecordReject(batch[i].submission_id));
         continue;
       }
       SubmissionOutcome outcome;
@@ -740,10 +701,11 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
       outcome.num_atomic_tasks = batch[i].num_atomic;
       outcome.latency_seconds =
           std::chrono::duration<double>(now - batch[i].admitted).count();
-      hooks->RecordComplete(batch[i].submission_id, outcome);
+      static_cast<void>(
+          hooks->RecordComplete(batch[i].submission_id, outcome));
     }
-    hooks->SyncOutcomes();
-    hooks->Compact();
+    static_cast<void>(hooks->SyncOutcomes());
+    static_cast<void>(hooks->Compact());
   }
 
   {
@@ -767,34 +729,31 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
       stats_.solve_seconds += solve_seconds;
       stats_.total_cost += batch_cost_total;
     }
-    if (options_.fairness.enabled) {
-      // Per-tenant delivery accounting. Billed = the tenant's slice
-      // costs; platform = the batch cost apportioned by billed share
-      // (equal to billed under kIsolated, smaller under kPooled).
-      std::set<std::string> counted;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!status_of[i].ok()) continue;
-        TenantState& state = tenants_[batch[i].requester];
-        const double cost = slice_of[i].cost;
-        state.counters.delivered += 1;
-        state.counters.billed_cost += cost;
-        state.counters.platform_cost +=
-            slice_cost_total > 0.0
-                ? batch_cost_total * (cost / slice_cost_total)
-                : 0.0;
-        // A tenant with several submissions in the batch still counts
-        // this micro-batch once.
-        if (counted.insert(batch[i].requester).second) {
-          state.counters.flushes += 1;
-        }
-      }
+    // Per-tenant delivery accounting. Billed = the tenant's slice costs;
+    // platform = the batch cost apportioned by billed share (equal to
+    // billed under kIsolated, smaller under kPooled).
+    std::set<std::string> counted;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!status_of[i].ok()) continue;
+      const std::string& tenant = TenantKeyOf(batch[i].requester);
+      TenantState& state = tenants_[tenant];
+      const double cost = slice_of[i].cost;
+      state.counters.delivered += 1;
+      state.counters.billed_cost += cost;
+      state.counters.platform_cost +=
+          slice_cost_total > 0.0 ? batch_cost_total * (cost / slice_cost_total)
+                                 : 0.0;
+      // A tenant with several submissions in the batch still counts this
+      // micro-batch once.
+      if (counted.insert(tenant).second) state.counters.flushes += 1;
     }
   }
 
   if (options_.registry != nullptr) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (status_of[i].ok() && !batch[i].platform.empty()) {
-        options_.registry->RecordBilled(batch[i].platform, slice_of[i].cost);
+      if (status_of[i].ok()) {
+        options_.registry->RecordBilled(batch[i].serving.platform_id,
+                                        slice_of[i].cost);
       }
     }
   }

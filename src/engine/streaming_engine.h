@@ -29,9 +29,15 @@
 // never *what* the answer is: under kIsolated every admitted submission's
 // plan is still the standalone OPQ-Extended plan.
 //
-// StreamingOptions::fairness adds multi-tenancy on top: per-tenant pending
-// quotas and a weighted deficit-round-robin flush scheduler that keeps one
-// heavy requester from starving many small ones (see FairnessOptions).
+// There is one admission path. Every pending submission sits in a tenant
+// queue drained by a deficit-round-robin scheduler, and is pinned at
+// admission to the profile snapshot it will be solved against.
+// StreamingOptions::fairness picks the tenant key -- the requester id, or
+// one shared tenant when fairness is off -- and adds per-tenant quotas and
+// capped flushes that keep one heavy requester from starving many small
+// ones (see FairnessOptions). StreamingOptions::registry picks the
+// snapshot -- the routed platform's current epoch, or one snapshot of the
+// constructor profile when no registry is set.
 
 #ifndef SLADE_ENGINE_STREAMING_ENGINE_H_
 #define SLADE_ENGINE_STREAMING_ENGINE_H_
@@ -62,8 +68,9 @@ namespace slade {
 /// \brief Multi-tenant fairness: per-tenant quotas and a weighted-fair
 /// (deficit round-robin) flush scheduler.
 ///
-/// With fairness off (the default) the engine behaves exactly as before:
-/// one FIFO pending queue, each flush takes everything pending. With
+/// With fairness off (the default) every submission queues under one
+/// shared tenant: one FIFO queue, each flush takes everything pending
+/// (past the flush caps), no quotas, and tenant_stats() stays empty. With
 /// fairness on, submissions queue per tenant (tenant = requester id) and
 /// each micro-batch is assembled by deficit round-robin: every tenant
 /// visit earns `quantum_atomic_tasks * weight` of atomic-task credit, and
@@ -147,7 +154,7 @@ struct StreamingOptions {
   /// are unbounded, reproducing the ungoverned behavior exactly.
   ResourceOptions resources;
   /// Multi-tenant quotas and weighted-fair flush scheduling (see
-  /// FairnessOptions). Disabled by default: the single-FIFO behavior.
+  /// FairnessOptions). Disabled by default: one shared FIFO tenant.
   FairnessOptions fairness;
   /// Durability seam (see durability/hooks.h): when set, every admission
   /// is journaled durably before Submit hands out its future, outcomes
@@ -163,7 +170,9 @@ struct StreamingOptions {
   /// the constructor profile is unused on this path. The engine
   /// subscribes to epoch changes and evicts exactly the retired epoch's
   /// OPQ cache entries. Non-owning; must outlive the engine. nullptr =
-  /// single-profile serving, byte-for-byte the previous behavior.
+  /// single-profile serving: every submission is pinned to one snapshot
+  /// of the constructor profile (platform "", epoch 0, cache salt 0), and
+  /// slices carry no platform metadata.
   ProfileRegistry* registry = nullptr;
   /// Routing policy applied when `registry` is set.
   RoutingPolicy routing = RoutingPolicy::kCheapest;
@@ -214,7 +223,7 @@ class StreamingEngine {
   /// submission is decomposed against `profile`, and the OPQ cache warms
   /// up across all of them. With StreamingOptions::registry set the
   /// profile instead comes from the routed platform's current epoch per
-  /// submission and `profile` is only a fallback identity.
+  /// submission and `profile` is unused.
   explicit StreamingEngine(BinProfile profile, StreamingOptions options = {});
   ~StreamingEngine();
 
@@ -278,7 +287,7 @@ class StreamingEngine {
 
   StreamingStats stats() const;
   /// Per-tenant counters in tenant-id order; empty when fairness is
-  /// disabled (tenant tracking would grow without bound otherwise).
+  /// disabled (every requester then shares one unnamed tenant).
   std::vector<TenantStats> tenant_stats() const;
   const OpqCache& cache() const { return engine_.cache(); }
   /// The governor bounding the pending admission queue.
@@ -292,19 +301,17 @@ class StreamingEngine {
     std::vector<CrowdsourcingTask> tasks;
     size_t num_atomic = 0;
     uint64_t bytes = 0;  ///< estimated queue charge for this submission
-    uint64_t seq = 0;    ///< global admission order (fairness sheds/ages)
+    uint64_t seq = 0;    ///< global admission order (sheds, deadline)
     std::chrono::steady_clock::time_point admitted;
     std::promise<Result<RequesterPlan>> promise;
-    /// Registry mode: the serving (platform, epoch) pinned at admission.
-    /// The shared profile snapshot keeps this submission solving under
-    /// its admission epoch even if a promotion lands before its flush.
-    std::string platform;
-    uint64_t epoch = 0;
-    uint64_t salt = 0;
-    std::shared_ptr<const BinProfile> profile;
+    /// The serving (platform, epoch) and profile pinned at admission: the
+    /// routed platform's snapshot, or unrouted_ without a registry. It
+    /// keeps this submission solving under its admission epoch even if a
+    /// promotion lands before its flush.
+    PlatformSnapshot serving;
   };
 
-  /// One tenant's pending queue and lifetime counters (fairness mode).
+  /// One tenant's pending queue and lifetime counters.
   struct TenantState {
     std::deque<Pending> queue;
     uint64_t deficit = 0;  ///< unspent DRR credit, in atomic tasks
@@ -324,21 +331,21 @@ class StreamingEngine {
   /// submission is never deadlocked by a cap smaller than itself) or the
   /// governor has room for it. Requires mutex_ held.
   bool HasRoomLocked(const Pending& pending) const;
-  /// True iff anything is pending, in either queueing mode.
-  bool AnyPendingLocked() const;
-  /// Number of pending submissions, in either queueing mode.
-  size_t PendingCountLocked() const;
-  /// Admission time of the oldest pending submission; only valid when
-  /// AnyPendingLocked().
-  std::chrono::steady_clock::time_point OldestAdmittedLocked() const;
-  /// Appends `pending` to the right queue and charges all counters.
+  /// The tenant a requester's submissions queue under: the requester id
+  /// with fairness on, the one shared tenant "" with it off.
+  const std::string& TenantKeyOf(const std::string& requester) const;
+  /// The tenant whose queue front is the globally oldest pending
+  /// submission (tenant queues are FIFO); only valid when pending.
+  TenantState& OldestTenantLocked();
+  /// Appends `pending` to its tenant's queue and charges all counters.
   void EnqueueLocked(Pending pending);
   /// Removes and returns the globally oldest pending submission (for
   /// kShedOldest), releasing its charges; only valid when pending.
   Pending PopOldestLocked();
-  /// Cuts the next micro-batch out of the pending state, releasing its
-  /// charges: everything pending (fairness off) or a deficit-round-robin
-  /// selection bounded by the flush caps (fairness on).
+  /// Cuts the next micro-batch out of the pending state by deficit round-
+  /// robin, releasing its charges. With fairness on the batch is bounded
+  /// by the flush caps; with it off the one shared tenant's whole queue
+  /// is taken.
   std::vector<Pending> AssembleBatchLocked();
   uint64_t WeightOf(const std::string& tenant) const;
   void WorkerLoop();
@@ -348,7 +355,9 @@ class StreamingEngine {
   void ProcessBatch(std::vector<Pending> batch, FlushReason reason);
 
   const StreamingOptions options_;
-  const BinProfile profile_;
+  /// Without a registry every submission is pinned to this snapshot of
+  /// the constructor profile: platform "", epoch 0, salt 0.
+  const PlatformSnapshot unrouted_;
   DecompositionEngine engine_;
   ResourceGovernor governor_;  ///< pending-queue bytes / atomic tasks
 
@@ -356,9 +365,9 @@ class StreamingEngine {
   std::condition_variable wake_;     ///< worker: pending work or shutdown
   std::condition_variable drained_;  ///< Drain(): everything fulfilled
   std::condition_variable admit_;    ///< blocked Submit: room freed
-  std::deque<Pending> pending_;      ///< fairness off: the one FIFO queue
-  // Fairness on: per-tenant queues + the round-robin ring of tenants with
-  // pending work. pending_count_ tracks submissions across all tenants.
+  // Per-tenant queues (keyed by TenantKeyOf) + the round-robin ring of
+  // tenants with pending work. pending_count_ tracks submissions across
+  // all tenants.
   std::map<std::string, TenantState> tenants_;
   std::deque<std::string> ring_;
   /// Submission ids currently in flight (admitted or being admitted, not

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/logging.h"
 #include "server/json.h"
 
 namespace slade {
@@ -144,8 +145,16 @@ void SladeServer::Shutdown() {
     // HTTP requests; drain whatever else was fed in (e.g. a replay feed),
     // then seal the journal so a restart on this WAL skips recovery.
     engine_->Drain();
-    options_.journal->WriteCheckpoint();
-    options_.journal->Compact();
+    // A failed seal is reported and costs the next start a recovery pass.
+    const Status checkpointed = options_.journal->WriteCheckpoint();
+    if (!checkpointed.ok()) {
+      SLADE_ELOG() << "shutdown checkpoint failed: "
+                   << checkpointed.ToString();
+    }
+    const Status compacted = options_.journal->Compact();
+    if (!compacted.ok()) {
+      SLADE_ELOG() << "shutdown compaction failed: " << compacted.ToString();
+    }
   }
   if (listen_fd_ >= 0) {
     close(listen_fd_);

@@ -9,14 +9,18 @@
 // cannot push a light tenant's submissions behind all of its own.
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "durability/hooks.h"
 #include "engine/streaming_engine.h"
 #include "plan_signature.h"
 #include "workload/threshold_gen.h"
@@ -142,6 +146,11 @@ TEST(FairSchedulerTest, ByteQuotaIsEnforcedIndependently) {
   auto second_result = second.get();
   ASSERT_FALSE(second_result.ok());
   EXPECT_TRUE(second_result.status().IsResourceExhausted());
+  // The message names only the quota that tripped.
+  const std::string message = second_result.status().ToString();
+  EXPECT_NE(message.find("(64 bytes pending cap)"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("atomic tasks"), std::string::npos) << message;
   engine.Drain();
   EXPECT_TRUE(first.get().ok());
 }
@@ -353,6 +362,113 @@ TEST(FairSchedulerTest, SingleTenantFairnessMatchesFifoBatching) {
   ASSERT_EQ(fifo.size(), fair.size());
   for (size_t i = 0; i < fifo.size(); ++i) {
     EXPECT_EQ(fair[i].first, fifo[i].first) << "flush id, submission " << i;
+    EXPECT_EQ(fair[i].second, fifo[i].second)
+        << "placements, submission " << i;
+  }
+}
+
+/// In-memory durability hooks whose outcome barrier blocks until
+/// Release(): it holds the engine worker inside a flush, so submissions
+/// admitted meanwhile pile up into one backlog.
+class LatchedHooks : public DurabilityHooks {
+ public:
+  std::string GenerateSubmissionId() override {
+    return "latched-" + std::to_string(next_id_++);
+  }
+  Status RecordAdmit(const std::string&, const std::string&,
+                     const std::vector<CrowdsourcingTask>&) override {
+    return Status::OK();
+  }
+  Status RecordComplete(const std::string&,
+                        const SubmissionOutcome&) override {
+    return Status::OK();
+  }
+  Status RecordReject(const std::string&) override { return Status::OK(); }
+  Status SyncOutcomes() override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    return Status::OK();
+  }
+  bool LookupCompleted(const std::string&,
+                       SubmissionOutcome*) const override {
+    return false;
+  }
+
+  /// Blocks until the worker is inside its first outcome barrier.
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<uint64_t> next_id_{0};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(FairSchedulerTest, BacklogBehindABusyWorkerKeepsTheBatchRule) {
+  auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
+  ASSERT_TRUE(profile.ok());
+
+  // A backlog of 7 single-tenant submissions builds up while the worker
+  // is held inside flush 0. Fairness off flushes everything pending in
+  // one micro-batch, past the 3-submission cap; fairness on (one tenant)
+  // cuts it at the cap into flushes of 3, 3 and 1. Placements do not
+  // depend on the cut.
+  auto run = [&](bool fairness_enabled) {
+    LatchedHooks hooks;  // declared first: must outlive the engine
+    StreamingOptions options;
+    options.max_pending_submissions = 3;
+    options.max_pending_atomic_tasks = 1u << 20;
+    options.max_delay_seconds = 3600.0;
+    options.fairness.enabled = fairness_enabled;
+    options.durability = &hooks;
+    StreamingEngine engine(*profile, options);
+
+    auto first = engine.Submit("solo", {FixedTask(3, 700)});
+    engine.Flush();
+    hooks.WaitEntered();
+    std::vector<std::future<Result<RequesterPlan>>> futures;
+    for (int i = 0; i < 7; ++i) {
+      futures.push_back(engine.Submit(
+          "solo", {FixedTask(2 + static_cast<size_t>(i % 3),
+                             710 + static_cast<uint64_t>(i))}));
+    }
+    EXPECT_EQ(engine.stats().queue_submissions, 7u);
+    hooks.Release();
+    engine.Drain();
+
+    auto first_result = first.get();
+    EXPECT_TRUE(first_result.ok());
+    EXPECT_EQ(first_result->flush_id, 0u);
+    std::vector<std::pair<uint64_t, std::string>> delivered;
+    for (auto& future : futures) {
+      auto result = future.get();
+      EXPECT_TRUE(result.ok());
+      delivered.emplace_back(result->flush_id,
+                             UnorderedPlanSignature(result->plan));
+    }
+    return delivered;
+  };
+
+  const auto fifo = run(false);
+  const auto fair = run(true);
+  ASSERT_EQ(fifo.size(), 7u);
+  ASSERT_EQ(fair.size(), 7u);
+  const uint64_t fair_flushes[7] = {1, 1, 1, 2, 2, 2, 3};
+  for (size_t i = 0; i < fifo.size(); ++i) {
+    EXPECT_EQ(fifo[i].first, 1u) << "fairness off, submission " << i;
+    EXPECT_EQ(fair[i].first, fair_flushes[i]) << "fairness on, submission "
+                                              << i;
     EXPECT_EQ(fair[i].second, fifo[i].second)
         << "placements, submission " << i;
   }

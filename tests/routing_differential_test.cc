@@ -222,6 +222,7 @@ TEST(RoutingDifferentialTest, SinglePlatformIdenticalToUnroutedEngine) {
       for (const std::string& platform : baseline.platforms) {
         EXPECT_TRUE(platform.empty());
       }
+      for (uint64_t epoch : baseline.epochs) EXPECT_EQ(epoch, 0u);
 
       // Registry counters reconcile with the workload.
       auto stats = registry.stats();

@@ -155,6 +155,9 @@ TEST_F(ServerIntegrationTest, SubmitReturnsAPlanSlice) {
   EXPECT_NE(response.find("\"requester\":\"alice\""), std::string::npos);
   EXPECT_NE(response.find("\"num_atomic_tasks\":3"), std::string::npos);
   EXPECT_NE(response.find("\"cost\":"), std::string::npos);
+  // Single-profile serving names no platform and no profile epoch.
+  EXPECT_EQ(response.find("\"platform\""), std::string::npos) << response;
+  EXPECT_EQ(response.find("\"epoch\""), std::string::npos) << response;
 }
 
 TEST_F(ServerIntegrationTest, MalformedInputsGetCleanErrors) {
@@ -484,6 +487,9 @@ TEST_F(ServerIntegrationTest, StatsExposeDurabilityOnlyWhenJournaled) {
       server_->port(), "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n");
   EXPECT_EQ(StatusCodeOf(plain), 200);
   EXPECT_EQ(plain.find("\"durability\":"), std::string::npos) << plain;
+  // Fairness off and no registry: no tenants and no platforms section.
+  EXPECT_NE(plain.find("\"tenants\":[]"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("\"platforms\""), std::string::npos) << plain;
 }
 
 TEST_F(ServerIntegrationTest, ShutdownCheckpointMakesTheNextStartClean) {

@@ -1,7 +1,8 @@
 // Copyright (c) the SLADE reproduction authors.
 // A small fixed-size thread pool. Used by the baseline solver to run
 // independent chunk CIPs in parallel (each chunk is a self-contained
-// LP + rounding problem; see baseline_solver.h).
+// LP + rounding problem; see baseline_solver.h), by the batch engine for
+// per-shard solves, and by SladeServer to run request handlers.
 
 #ifndef SLADE_COMMON_THREAD_POOL_H_
 #define SLADE_COMMON_THREAD_POOL_H_

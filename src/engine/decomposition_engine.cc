@@ -165,7 +165,6 @@ OpqCacheOptions CacheOptionsFrom(const ResourceOptions& resources) {
   OpqCacheOptions options;
   options.max_bytes = resources.cache_max_bytes;
   options.max_entries = resources.cache_max_entries;
-  options.num_shards = resources.cache_shards;
   return options;
 }
 

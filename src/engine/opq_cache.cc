@@ -33,17 +33,6 @@ bool SameProfile(const std::vector<TaskBin>& a, const BinProfile& b) {
   return true;
 }
 
-OpqCacheOptions Sanitized(OpqCacheOptions options) {
-  if (options.num_shards == 0) options.num_shards = 1;
-  // More shards than entry slots buys nothing but eviction-scan work, so a
-  // tiny cache collapses to fewer shards.
-  if (options.max_entries != 0 &&
-      static_cast<uint64_t>(options.num_shards) > options.max_entries) {
-    options.num_shards = static_cast<uint32_t>(options.max_entries);
-  }
-  return options;
-}
-
 }  // namespace
 
 uint64_t OpqCache::ProfileFingerprint(const BinProfile& profile) {
@@ -57,17 +46,8 @@ uint64_t OpqCache::ProfileFingerprint(const BinProfile& profile) {
 }
 
 OpqCache::OpqCache(OpqCacheOptions options)
-    : options_(Sanitized(options)),
-      governor_(options_.max_bytes, options_.max_entries) {
-  shards_.reserve(options_.num_shards);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-OpqCache::Shard& OpqCache::ShardOf(const Key& key) {
-  return *shards_[HashCombine(key.first, key.second) % shards_.size()];
-}
+    : options_(options),
+      governor_(options_.max_bytes, options_.max_entries) {}
 
 uint64_t OpqCache::EntryBytes(const Entry& entry) {
   uint64_t bytes = sizeof(Entry) + kNodeOverheadBytes +
@@ -76,57 +56,24 @@ uint64_t OpqCache::EntryBytes(const Entry& entry) {
   return bytes;
 }
 
-void OpqCache::EvictNodeLocked(Shard* shard, std::list<Node>::iterator it) {
-  auto bucket_it = shard->index.find(it->key);
-  if (bucket_it != shard->index.end()) {
+OpqCache::NodeIt OpqCache::EvictNodeLocked(NodeIt it) {
+  auto bucket_it = index_.find(it->key);
+  if (bucket_it != index_.end()) {
     auto& chain = bucket_it->second;
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [&](const std::list<Node>::iterator& link) {
-                                 return link->entry == it->entry;
-                               }),
-                chain.end());
-    if (chain.empty()) shard->index.erase(bucket_it);
+    chain.erase(std::remove(chain.begin(), chain.end(), it), chain.end());
+    if (chain.empty()) index_.erase(bucket_it);
   }
   governor_.Release(it->entry->charged_bytes, 1);
   it->entry->resident = false;
-  shard->lru.erase(it);
-  shard->evictions += 1;
+  counters_.evictions += 1;
+  return lru_.erase(it);
 }
 
-bool OpqCache::EvictOneGlobal(const Entry* keep) {
-  // Pass 1: find the shard whose stalest evictable entry has the oldest
-  // tick, holding one shard lock at a time. The answer can go slightly
-  // stale by pass 2 -- an approximation, never a correctness issue.
-  size_t best_shard = shards_.size();
-  uint64_t best_tick = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-    for (auto it = shards_[s]->lru.rbegin(); it != shards_[s]->lru.rend();
-         ++it) {
-      if (it->entry.get() == keep) continue;  // at most one keep to skip
-      if (best_shard == shards_.size() || it->entry->last_used < best_tick) {
-        best_shard = s;
-        best_tick = it->entry->last_used;
-      }
-      break;  // only the stalest evictable entry of this shard competes
-    }
-  }
-  if (best_shard == shards_.size()) return false;
-
-  // Pass 2: evict that shard's current stalest evictable entry.
-  Shard& shard = *shards_[best_shard];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    if (it->entry.get() == keep) continue;
-    EvictNodeLocked(&shard, std::prev(it.base()));
-    return true;
-  }
-  return false;  // raced empty; the caller's loop re-checks capacity
-}
-
-void OpqCache::EnforceCapacity(const Entry* keep) {
-  while (governor_.OverCapacity()) {
-    if (!EvictOneGlobal(keep)) break;
+void OpqCache::EnforceCapacityLocked(const Entry* keep) {
+  auto it = lru_.end();
+  while (governor_.OverCapacity() && it != lru_.begin()) {
+    --it;
+    if (it->entry.get() != keep) it = EvictNodeLocked(it);
   }
 }
 
@@ -140,54 +87,46 @@ Result<OpqCache::Lookup> OpqCache::GetOrBuild(const BinProfile& profile,
   const uint64_t fingerprint =
       HashCombine(ProfileFingerprint(profile), salt) & options_.fingerprint_mask;
   const Key key{fingerprint, DoubleBits(threshold)};
-  Shard& shard = ShardOf(key);
 
   std::shared_ptr<Entry> entry;
   bool inserted = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto& chain = shard.index[key];
-    for (const auto& it : chain) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& chain = index_[key];
+    for (const NodeIt& it : chain) {
       if (it->entry->salt == salt &&
           SameProfile(it->entry->profile_bins, profile)) {
         entry = it->entry;
         // Refresh recency: move the node to the LRU front.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it);
-        entry->last_used = tick_.fetch_add(1) + 1;
-        shard.hits += 1;
+        lru_.splice(lru_.begin(), lru_, it);
+        counters_.hits += 1;
         break;
       }
     }
     if (entry == nullptr) {
-      if (!chain.empty()) shard.collisions += 1;
-      shard.misses += 1;
+      if (!chain.empty()) counters_.collisions += 1;
+      counters_.misses += 1;
       entry = std::make_shared<Entry>();
       entry->profile_bins = profile.bins();
       entry->salt = salt;
-      entry->last_used = tick_.fetch_add(1) + 1;
-      shard.lru.push_front(Node{key, entry});
-      chain.push_back(shard.lru.begin());
+      lru_.push_front(Node{key, entry});
+      chain.push_back(lru_.begin());
       inserted = true;
       // Charge the entry slot now; its bytes follow once the build
       // finishes.
       governor_.Charge(0, 1);
+      EnforceCapacityLocked(entry.get());
     }
   }
-  if (inserted) EnforceCapacity(entry.get());
 
-  // The shard lock is released before the (potentially long) build so other
-  // keys proceed concurrently; racers on the same key serialize here.
+  // The cache lock is released before the (potentially long) build so
+  // other keys proceed concurrently; racers on the same key serialize here.
   std::lock_guard<std::mutex> build_lock(entry->build_mutex);
   if (!entry->done) {
     OpqBuildStats stats;
     Stopwatch build_watch;
     auto built = BuildOpq(profile, threshold, options, &stats);
-    {
-      std::lock_guard<std::mutex> stats_lock(build_stats_mutex_);
-      builds_ += 1;
-      build_stats_.Accumulate(stats);
-      build_seconds_ += build_watch.ElapsedSeconds();
-    }
+    const double build_seconds = build_watch.ElapsedSeconds();
     if (built.ok()) {
       entry->queue = std::make_shared<const OptimalPriorityQueue>(
           std::move(built).ValueOrDie());
@@ -197,114 +136,66 @@ Result<OpqCache::Lookup> OpqCache::GetOrBuild(const BinProfile& profile,
     entry->done = true;
 
     const uint64_t bytes = EntryBytes(*entry);
-    bool charged = false;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (entry->resident) {
-        // Not evicted while building: charge the real size. An entry
-        // evicted mid-build is never charged -- it lives on only through
-        // the queue shared_ptr its builder and racers hold.
-        entry->charged_bytes = bytes;
-        governor_.Charge(bytes, 0);
-        charged = true;
-      }
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.builds += 1;
+    counters_.build_stats.Accumulate(stats);
+    counters_.build_seconds += build_seconds;
+    if (entry->resident) {
+      // Not evicted while building: charge the real size. An entry
+      // evicted mid-build is never charged -- it lives on only through
+      // the queue shared_ptr its builder and racers hold.
+      entry->charged_bytes = bytes;
+      governor_.Charge(bytes, 0);
+      EnforceCapacityLocked(entry.get());
     }
-    if (charged) EnforceCapacity(entry.get());
   }
   if (!entry->error.ok()) return entry->error;
   return Lookup{entry->queue, /*hit=*/!inserted};
 }
 
 size_t OpqCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
-}
-
-uint64_t OpqCache::hits() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->hits;
-  }
-  return total;
-}
-
-uint64_t OpqCache::misses() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->misses;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
 }
 
 CacheStats OpqCache::stats() const {
-  CacheStats stats;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.collisions += shard->collisions;
-    stats.entries += shard->lru.size();
-  }
-  const GovernorCounters counters = governor_.counters();
-  stats.bytes = counters.bytes;
-  stats.peak_bytes = counters.peak_bytes;
-  stats.peak_entries = counters.peak_units;
-  {
-    std::lock_guard<std::mutex> lock(build_stats_mutex_);
-    stats.builds = builds_;
-    stats.build_stats = build_stats_;
-    stats.build_seconds = build_seconds_;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  CacheStats stats = counters_;
+  stats.entries = lru_.size();
+  const GovernorCounters governed = governor_.counters();
+  stats.bytes = governed.bytes;
+  stats.peak_bytes = governed.peak_bytes;
+  stats.peak_entries = governed.peak_units;
   return stats;
 }
 
 void OpqCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (Node& node : shard->lru) {
-      governor_.Release(node.entry->charged_bytes, 1);
-      node.entry->resident = false;
-    }
-    shard->lru.clear();
-    shard->index.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (Node& node : lru_) {
+    governor_.Release(node.entry->charged_bytes, 1);
+    node.entry->resident = false;
   }
+  lru_.clear();
+  index_.clear();
 }
 
 size_t OpqCache::EvictBySalt(uint64_t salt) {
+  std::lock_guard<std::mutex> lock(mutex_);
   size_t evicted = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      auto next = std::next(it);
-      if (it->entry->salt == salt) {
-        EvictNodeLocked(shard.get(), it);
-        evicted += 1;
-      }
-      it = next;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->entry->salt == salt) {
+      it = EvictNodeLocked(it);
+      evicted += 1;
+    } else {
+      ++it;
     }
   }
   return evicted;
 }
 
 void OpqCache::ResetStats() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->hits = 0;
-    shard->misses = 0;
-    shard->evictions = 0;
-    shard->collisions = 0;
-  }
-  std::lock_guard<std::mutex> lock(build_stats_mutex_);
-  builds_ = 0;
-  build_stats_ = OpqBuildStats{};
-  build_seconds_ = 0.0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  counters_ = CacheStats{};
 }
 
 }  // namespace slade

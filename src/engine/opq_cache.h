@@ -10,23 +10,19 @@
 //
 // The cache is capacity-bounded: a ResourceGovernor tracks estimated bytes
 // (OptimalPriorityQueue::EstimatedBytes plus entry overhead) and entry
-// counts globally, and least-recently-used entries are evicted while the
-// cache is over an OpqCacheOptions limit. Entries live in N lock shards so
-// solver threads looking up distinct keys do not serialize on one mutex;
-// recency is a global monotonic tick stamped on every touch, and eviction
-// approximates global LRU by comparing the tails of all shards and
-// evicting the stalest -- locking one shard at a time, so eviction can
-// never deadlock against lookups. OPQ entries are small and builds are
-// expensive, so the scan cost is noise next to what a wrong eviction would
-// waste. The entry just inserted or touched by the running lookup is never
-// evicted by that same lookup (the working key stays served even when it
-// alone exceeds the budget). Eviction never invalidates a queue a solver
-// already holds: queues are handed out as shared_ptr<const ...>.
+// counts, and least-recently-used entries are evicted while the cache is
+// over an OpqCacheOptions limit. All entries live in one exact LRU list
+// plus a key index under one mutex; a lookup holds it only for a map find
+// and a list splice, and never across a build, so the lock is not a
+// bottleneck next to the Algorithm 2 enumerations it saves. The entry
+// just inserted or touched by the running lookup is never evicted by that
+// same lookup (the working key stays served even when it alone exceeds
+// the budget). Eviction never invalidates a queue a solver already holds:
+// queues are handed out as shared_ptr<const ...>.
 
 #ifndef SLADE_ENGINE_OPQ_CACHE_H_
 #define SLADE_ENGINE_OPQ_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -42,14 +38,12 @@
 
 namespace slade {
 
-/// \brief Capacity and sharding knobs of one OpqCache.
+/// \brief Capacity knobs of one OpqCache.
 struct OpqCacheOptions {
   /// Evict LRU entries beyond this many estimated bytes (0 = unbounded).
   uint64_t max_bytes = 0;
   /// Evict LRU entries beyond this many entries (0 = unbounded).
   uint64_t max_entries = 0;
-  /// Lock shards; floored at 1, clamped to max_entries when that is set.
-  uint32_t num_shards = 8;
   /// Test hook: profile fingerprints are ANDed with this mask before
   /// keying, so a test can force distinct profiles onto one key and
   /// exercise the structural-equality collision guard deterministically.
@@ -83,8 +77,7 @@ struct CacheStats {
   }
 };
 
-/// \brief Thread-safe, capacity-bounded, sharded LRU memo of BuildOpq
-/// results.
+/// \brief Thread-safe, capacity-bounded LRU memo of BuildOpq results.
 ///
 /// Keys are (masked profile fingerprint, threshold bit pattern); on a
 /// fingerprint match the stored profile is compared structurally, so two
@@ -122,12 +115,9 @@ class OpqCache {
   /// Number of distinct entries currently held (built or failed).
   size_t size() const;
 
-  /// Cumulative lookup counters across the cache's lifetime (they survive
-  /// Clear(); use ResetStats() to zero them).
-  uint64_t hits() const;
-  uint64_t misses() const;
-
-  /// Full counter + occupancy snapshot.
+  /// Full counter + occupancy snapshot. The lookup and build counters are
+  /// cumulative across the cache's lifetime (they survive Clear(); use
+  /// ResetStats() to zero them).
   CacheStats stats() const;
 
   /// Drops all entries. Queues already handed out remain valid (shared
@@ -145,9 +135,6 @@ class OpqCache {
 
   /// Zeroes the lifetime counters without touching the entries.
   void ResetStats();
-
-  /// The governor charged for resident entries (capacity + peaks).
-  const ResourceGovernor& governor() const { return governor_; }
 
   const OpqCacheOptions& options() const { return options_; }
 
@@ -169,54 +156,37 @@ class OpqCache {
     std::shared_ptr<const OptimalPriorityQueue> queue;  // null on failure
     Status error;
 
-    // Guarded by the owning shard's mutex.
-    bool resident = true;        ///< still linked into the shard
+    // Guarded by the cache's mutex_.
+    bool resident = true;        ///< still linked into the LRU list
     uint64_t charged_bytes = 0;  ///< what eviction must release
-    uint64_t last_used = 0;      ///< global tick of the latest touch
   };
 
   struct Node {
     Key key;
     std::shared_ptr<Entry> entry;
   };
+  using NodeIt = std::list<Node>::iterator;
 
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Recency order, front = most recent. Eviction pops the back.
-    std::list<Node> lru;
-    /// Key -> chained entries (one per structurally distinct profile).
-    std::map<Key, std::vector<std::list<Node>::iterator>> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t collisions = 0;
-  };
-
-  Shard& ShardOf(const Key& key);
-  /// Unlinks the node at `it` from `shard`, releasing its governor charge
-  /// and bumping the eviction counter. Requires shard.mutex held.
-  void EvictNodeLocked(Shard* shard, std::list<Node>::iterator it);
-  /// Evicts the globally stalest evictable entry (never `keep`); locks one
-  /// shard at a time. Returns false when nothing but `keep` is left.
-  bool EvictOneGlobal(const Entry* keep);
-  /// Runs EvictOneGlobal until the governor is back under capacity (or
-  /// nothing is evictable). Call without any shard lock held.
-  void EnforceCapacity(const Entry* keep);
+  /// Unlinks the node at `it`, releasing its governor charge and bumping
+  /// the eviction counter; returns the node after it. Requires mutex_.
+  NodeIt EvictNodeLocked(NodeIt it);
+  /// Evicts from the LRU back, skipping `keep`, until the governor is back
+  /// under capacity (or nothing but `keep` is left). Requires mutex_.
+  void EnforceCapacityLocked(const Entry* keep);
   /// Bytes charged for one resident entry once its build finished.
   static uint64_t EntryBytes(const Entry& entry);
 
   const OpqCacheOptions options_;
   ResourceGovernor governor_;
-  std::atomic<uint64_t> tick_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Aggregate Algorithm 2 build cost (lifetime counters, like hit/miss:
-  /// Clear() keeps them, ResetStats() zeroes them). Builds are rare and
-  /// long next to a mutex acquisition, so one mutex is plenty.
-  mutable std::mutex build_stats_mutex_;
-  uint64_t builds_ = 0;
-  OpqBuildStats build_stats_;
-  double build_seconds_ = 0.0;
+  mutable std::mutex mutex_;
+  /// Recency order, front = most recent. Eviction walks from the back.
+  std::list<Node> lru_;
+  /// Key -> chained entries (one per structurally distinct profile).
+  std::map<Key, std::vector<NodeIt>> index_;
+  /// Lifetime lookup and build counters; the occupancy fields stay zero
+  /// (stats() reads them from lru_ and the governor).
+  CacheStats counters_;
 };
 
 }  // namespace slade

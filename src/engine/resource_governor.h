@@ -42,9 +42,6 @@ struct ResourceOptions {
   uint64_t cache_max_bytes = 0;
   /// Evict least-recently-used cached queues beyond this many entries.
   uint64_t cache_max_entries = 0;
-  /// Lock shards of the cache; floored at 1. More shards cut contention
-  /// when many solver threads look up distinct keys at once.
-  uint32_t cache_shards = 8;
 
   // --- Plan arenas (batch engine materialization / merge path) ---
   /// Ledger capacity for columnar plan arenas (see solver/plan_arena.h).

@@ -110,12 +110,7 @@ Status SladeServer::Start() {
     return Status::IOError("pipe/nonblock setup failed");
   }
 
-  const size_t num_workers =
-      options_.num_workers == 0 ? 1 : options_.num_workers;
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back(&SladeServer::WorkerLoop, this);
-  }
+  pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   loop_thread_ = std::thread(&SladeServer::EventLoop, this);
   return Status::OK();
 }
@@ -128,20 +123,12 @@ void SladeServer::Shutdown() {
     return;
   }
   NotifyLoop();
-  {
-    // Notify under work_mutex_: a worker that just evaluated the wait
-    // predicate (saw stopping_ == false) still holds the mutex until it
-    // blocks, so this cannot slip between its check and its sleep.
-    std::lock_guard<std::mutex> lock(work_mutex_);
-    work_cv_.notify_all();
-  }
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  // The loop only exits once no connection is busy, so every handler job
+  // has posted its response; this joins the threads that ran them.
+  pool_.reset();
   if (options_.journal != nullptr) {
-    // Every worker has returned, so no submission futures are pending on
+    // No handler is running, so no submission futures are pending on
     // HTTP requests; drain whatever else was fed in (e.g. a replay feed),
     // then seal the journal so a restart on this WAL skips recovery.
     engine_->Drain();
@@ -369,19 +356,24 @@ bool SladeServer::ReadAndDispatch(uint64_t conn_id, Connection* conn) {
       return true;
     }
     case HttpParseState::kComplete: {
-      WorkItem item;
-      item.conn_id = conn_id;
-      item.request = conn->parser.ConsumeRequest(nullptr);
       conn->busy = true;
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.requests += 1;
       }
-      {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-        work_queue_.push_back(std::move(item));
-      }
-      work_cv_.notify_one();
+      pool_->Submit([this, conn_id,
+                     request = conn->parser.ConsumeRequest(nullptr)] {
+        bool close_connection = !request.keep_alive();
+        Finished done;
+        done.conn_id = conn_id;
+        done.response = Handle(request, &close_connection);
+        done.close_after_write = close_connection;
+        {
+          std::lock_guard<std::mutex> lock(finished_mutex_);
+          finished_.push_back(std::move(done));
+        }
+        NotifyLoop();
+      });
       return true;
     }
   }
@@ -412,31 +404,6 @@ void SladeServer::CloseConnection(uint64_t conn_id) {
   if (it == connections_.end()) return;
   close(it->second.fd);
   connections_.erase(it);
-}
-
-void SladeServer::WorkerLoop() {
-  for (;;) {
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(work_mutex_);
-      work_cv_.wait(lock, [&] {
-        return stopping_.load() || !work_queue_.empty();
-      });
-      if (work_queue_.empty()) return;  // stopping and drained
-      item = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    Finished done;
-    done.conn_id = item.conn_id;
-    bool close_connection = !item.request.keep_alive();
-    done.response = Handle(item.request, &close_connection);
-    done.close_after_write = close_connection;
-    {
-      std::lock_guard<std::mutex> lock(finished_mutex_);
-      finished_.push_back(std::move(done));
-    }
-    NotifyLoop();
-  }
 }
 
 std::string SladeServer::RenderResponse(int status_code,

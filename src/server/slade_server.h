@@ -16,35 +16,36 @@
 //
 // Concurrency model: one event-loop thread owns every socket -- it
 // accepts, reads, feeds the strict bounded HttpRequestParser, and writes
-// responses (partial writes included). Complete requests are handed to a
-// small worker pool; workers may block on the engine future (that *is*
-// the kBlock backpressure story: a slow solver turns into TCP
-// backpressure on the submitting connection), then push the finished
-// response back to the loop through a self-pipe. A connection processes
-// one request at a time; pipelined bytes stay buffered in its parser
-// until the in-flight response is written, so responses are trivially in
-// order.
+// responses (partial writes included). Each complete request runs as one
+// job on a ThreadPool of ServerOptions::num_workers threads; a job may
+// block on the engine future (that *is* the kBlock backpressure story: a
+// slow solver turns into TCP backpressure on the submitting connection),
+// then posts the finished response back to the loop through a self-pipe.
+// A connection processes one request at a time; pipelined bytes stay
+// buffered in its parser until the in-flight response is written, so
+// responses are trivially in order.
 //
 // Shutdown() is graceful and idempotent: the listener closes first (no
 // new connections), in-flight requests finish and their responses are
-// flushed, then the loop and workers exit. The engine is drained by its
-// own destructor after the server is gone, so every admitted submission
-// is answered even on shutdown.
+// flushed, then the loop exits. It exits only once no connection is busy,
+// so no handler job is left and the pool is destroyed right after. The
+// engine is drained by its own destructor after the server is gone, so
+// every admitted submission is answered even on shutdown.
 
 #ifndef SLADE_SERVER_SLADE_SERVER_H_
 #define SLADE_SERVER_SLADE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "durability/journal.h"
 #include "engine/streaming_engine.h"
 #include "server/http_parser.h"
@@ -122,14 +123,9 @@ class SladeServer {
     HttpRequestParser parser;
     std::string outbox;      ///< response bytes not yet written
     size_t out_offset = 0;
-    bool busy = false;       ///< a request is in flight with a worker
+    bool busy = false;       ///< a request is in flight on the pool
     bool close_after_write = false;
     explicit Connection(HttpParserLimits limits) : parser(limits) {}
-  };
-
-  struct WorkItem {
-    uint64_t conn_id = 0;
-    HttpRequest request;
   };
 
   struct Finished {
@@ -139,7 +135,6 @@ class SladeServer {
   };
 
   void EventLoop();
-  void WorkerLoop();
   void AcceptPending();
   /// Reads from `conn`, feeds the parser, dispatches at most one request
   /// or queues an error response. Returns false when the connection died;
@@ -176,17 +171,13 @@ class SladeServer {
   std::map<uint64_t, Connection> connections_;
   uint64_t next_conn_id_ = 1;
 
-  std::mutex work_mutex_;
-  std::condition_variable work_cv_;
-  std::deque<WorkItem> work_queue_;
-
   std::mutex finished_mutex_;
   std::deque<Finished> finished_;
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
 
-  std::vector<std::thread> workers_;
+  std::unique_ptr<ThreadPool> pool_;  ///< runs Handle(); created by Start()
   std::thread loop_thread_;
   std::mutex shutdown_mutex_;  ///< serializes concurrent Shutdown() calls
 };

@@ -25,8 +25,8 @@ TEST(OpqCacheTest, MissThenHit) {
   EXPECT_TRUE(second->hit);
   EXPECT_EQ(first->queue.get(), second->queue.get());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(OpqCacheTest, CachedQueueEqualsFreshBuild) {
@@ -115,7 +115,7 @@ TEST(OpqCacheTest, DistinctProfilesGetDistinctEntries) {
   ASSERT_TRUE(cache.GetOrBuild(*jelly, 0.9).ok());
   ASSERT_TRUE(cache.GetOrBuild(*smic, 0.9).ok());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(OpqCacheTest, InvalidThresholdErrorIsMemoized) {
@@ -148,7 +148,7 @@ TEST(OpqCacheTest, ConcurrentLookupsBuildOnce) {
     EXPECT_EQ(seen[i].get(), seen[0].get());
   }
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(OpqCacheTest, ClearDropsEntriesButKeepsLifetimeCounters) {
@@ -163,13 +163,13 @@ TEST(OpqCacheTest, ClearDropsEntriesButKeepsLifetimeCounters) {
   EXPECT_EQ(cache.stats().bytes, 0u);
   // Clearing entries must not rewrite history: a long-running server
   // clearing its cache keeps honest cumulative hit/miss counters.
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_GT(held->size(), 0u);  // still usable after Clear
   auto rebuilt = cache.GetOrBuild(profile, 0.9);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_FALSE(rebuilt->hit);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(OpqCacheTest, ResetStatsZeroesCountersButKeepsEntries) {
@@ -178,13 +178,13 @@ TEST(OpqCacheTest, ResetStatsZeroesCountersButKeepsEntries) {
   ASSERT_TRUE(cache.GetOrBuild(profile, 0.9).ok());
   ASSERT_TRUE(cache.GetOrBuild(profile, 0.9).ok());
   cache.ResetStats();
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.size(), 1u);
   auto lookup = cache.GetOrBuild(profile, 0.9);
   ASSERT_TRUE(lookup.ok());
   EXPECT_TRUE(lookup->hit);  // the entry itself survived
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(OpqCacheTest, FingerprintCollisionsGetDistinctChainedEntries) {
@@ -232,7 +232,6 @@ TEST(OpqCacheTest, FingerprintCollisionsGetDistinctChainedEntries) {
 TEST(OpqCacheTest, EntryCapacityEvictsLeastRecentlyUsed) {
   OpqCacheOptions options;
   options.max_entries = 2;
-  options.num_shards = 1;  // single shard so LRU order is global
   OpqCache cache(options);
   auto profile = BinProfile::PaperExample();
   ASSERT_TRUE(cache.GetOrBuild(profile, 0.80).ok());  // A
@@ -264,7 +263,6 @@ TEST(OpqCacheTest, ByteCapacityBoundsResidentBytes) {
 
   OpqCacheOptions options;
   options.max_bytes = one_entry * 5 / 2;
-  options.num_shards = 1;
   OpqCache cache(options);
   for (double t : {0.80, 0.85, 0.90, 0.92, 0.95}) {
     ASSERT_TRUE(cache.GetOrBuild(profile, t).ok());
@@ -342,10 +340,8 @@ TEST(OpqCacheTest, ConcurrentLookupsUnderTinyCapacityStayConsistent) {
             static_cast<uint64_t>(kThreads) * kIters);
 }
 
-TEST(OpqCacheTest, ShardedCacheAggregatesAcrossShards) {
-  OpqCacheOptions options;
-  options.num_shards = 4;
-  OpqCache cache(options);
+TEST(OpqCacheTest, CountersAndOccupancyAfterRepeatedLookups) {
+  OpqCache cache;
   auto profile = BinProfile::PaperExample();
   const double thresholds[] = {0.80, 0.85, 0.90, 0.92, 0.95};
   for (double t : thresholds) ASSERT_TRUE(cache.GetOrBuild(profile, t).ok());
@@ -355,12 +351,48 @@ TEST(OpqCacheTest, ShardedCacheAggregatesAcrossShards) {
     EXPECT_TRUE(lookup->hit);
   }
   EXPECT_EQ(cache.size(), 5u);
-  EXPECT_EQ(cache.hits(), 5u);
-  EXPECT_EQ(cache.misses(), 5u);
+  EXPECT_EQ(cache.stats().hits, 5u);
+  EXPECT_EQ(cache.stats().misses, 5u);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 5u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_EQ(stats.peak_bytes, stats.bytes);  // nothing was evicted
+}
+
+TEST(OpqCacheTest, EvictBySaltLeavesSurvivorsInRecencyOrder) {
+  // Salt 1's entry sits between salt 2's in recency. Dropping salt 1 must
+  // leave the survivors in LRU order, so the next capacity eviction takes
+  // the stalest survivor and nothing else.
+  OpqCacheOptions options;
+  options.max_entries = 3;
+  OpqCache cache(options);
+  auto profile = BinProfile::PaperExample();
+  ASSERT_TRUE(cache.GetOrBuild(profile, 0.80, {}, 2).ok());  // A
+  ASSERT_TRUE(cache.GetOrBuild(profile, 0.85, {}, 1).ok());  // X
+  ASSERT_TRUE(cache.GetOrBuild(profile, 0.90, {}, 2).ok());  // B
+  auto touch = cache.GetOrBuild(profile, 0.80, {}, 2);       // A: B is LRU
+  ASSERT_TRUE(touch.ok());
+  EXPECT_TRUE(touch->hit);
+
+  EXPECT_EQ(cache.EvictBySalt(1), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(cache.GetOrBuild(profile, 0.92, {}, 2).ok());  // C fits
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  ASSERT_TRUE(cache.GetOrBuild(profile, 0.95, {}, 2).ok());  // D evicts B
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+
+  for (double t : {0.80, 0.92, 0.95}) {  // A, C, D survived
+    auto lookup = cache.GetOrBuild(profile, t, {}, 2);
+    ASSERT_TRUE(lookup.ok());
+    EXPECT_TRUE(lookup->hit) << t;
+  }
+  auto b = cache.GetOrBuild(profile, 0.90, {}, 2);
+  ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(b->hit);  // B was the capacity victim
+  auto x = cache.GetOrBuild(profile, 0.85, {}, 1);
+  ASSERT_TRUE(x.ok());
+  EXPECT_FALSE(x->hit);  // X went with its salt
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // slade_cli: command-line front end for the SLADE decomposer.
 //
 //   slade_cli profile  --dataset jelly|smic --max-cardinality M --out F
-//       Emit a bin profile CSV from the built-in dataset models.
+//       Emit a bin profile CSV from the built-in dataset models
+//       (M in [1, 64], as for serve and serve-loop).
 //
 //   slade_cli solve    --profile F (--thresholds F | --homogeneous N,T)
 //                      --solver greedy|opq|opq-extended|baseline|fixed
@@ -18,8 +19,7 @@
 //   slade_cli batch    --profile F --workload W.csv [--threads K]
 //                      [--mode engine|sequential] [--sharing pooled|isolated]
 //                      [--cache-max-bytes B] [--cache-max-entries N]
-//                      [--cache-shards S] [--node-budget N] [--verbose]
-//                      [--out PLAN.csv]
+//                      [--node-budget N] [--verbose] [--out PLAN.csv]
 //       Decompose a whole batch of crowdsourcing tasks (CSV rows
 //       `task,threshold`) with the sharded parallel engine, or the
 //       sequential per-task reference loop for comparison. --node-budget
@@ -32,8 +32,7 @@
 //                      [--max-delay-ms D] [--sharing isolated|pooled]
 //                      [--speed X] [--loop N] [--id-prefix P]
 //                      [--cache-max-bytes B] [--cache-max-entries N]
-//                      [--cache-shards S] [--queue-max-atomic N]
-//                      [--queue-max-bytes B]
+//                      [--queue-max-atomic N] [--queue-max-bytes B]
 //                      [--backpressure block|reject|shed-oldest]
 //       Replay a timed workload (CSV rows `arrival_ms,requester,task,
 //       threshold`) through the streaming admission engine and print
@@ -47,6 +46,8 @@
 //       pending admission queue; --backpressure picks what happens to a
 //       submission that does not fit (rejected and shed submissions are
 //       reported, not fatal). All limits default to 0 = unbounded.
+//       --max-delay-ms takes a number in [0, 1e9]; `stream`, `serve` and
+//       `serve-loop` parse these admission flags identically.
 //
 //   slade_cli serve    (--profile F | --dataset jelly|smic
 //                       [--max-cardinality M])
@@ -102,8 +103,8 @@
 //                      [--threads K] [--max-pending-atomic N]
 //                      [--max-pending-submissions N] [--max-delay-ms D]
 //                      [--sharing isolated|pooled] [--cache-max-bytes B]
-//                      [--cache-max-entries N] [--cache-shards S]
-//                      [--queue-max-atomic N] [--queue-max-bytes B]
+//                      [--cache-max-entries N] [--queue-max-atomic N]
+//                      [--queue-max-bytes B]
 //                      [--backpressure block|reject|shed-oldest]
 //       Run the closed loop end to end: the timed workload (arrival
 //       times are ignored; each row is one requester submission) is
@@ -183,8 +184,7 @@ int Usage() {
       "  slade_cli batch    --profile FILE --workload FILE [--threads K]\n"
       "                     [--mode engine|sequential] "
       "[--sharing pooled|isolated]\n"
-      "                     [--cache-max-bytes B] [--cache-max-entries N]"
-      " [--cache-shards S]\n"
+      "                     [--cache-max-bytes B] [--cache-max-entries N]\n"
       "                     [--node-budget N] [--verbose] [--out FILE]\n"
       "  slade_cli stream   --profile FILE --workload FILE [--threads K]\n"
       "                     [--max-pending-atomic N] "
@@ -192,8 +192,7 @@ int Usage() {
       "                     [--max-delay-ms D] [--sharing isolated|pooled]"
       " [--speed X]\n"
       "                     [--loop N] [--id-prefix P]\n"
-      "                     [--cache-max-bytes B] [--cache-max-entries N]"
-      " [--cache-shards S]\n"
+      "                     [--cache-max-bytes B] [--cache-max-entries N]\n"
       "                     [--queue-max-atomic N] [--queue-max-bytes B]\n"
       "                     [--backpressure block|reject|shed-oldest]\n"
       "  slade_cli serve    (--profile FILE | --dataset jelly|smic "
@@ -314,7 +313,8 @@ bool ParseDoubleFlag(const std::map<std::string, std::string>& flags,
   auto it = flags.find(key);
   if (it == flags.end()) return true;
   auto parsed = ParseDouble(it->second);
-  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
+  // Written so NaN, which compares false against both bounds, fails.
+  if (!parsed.ok() || !(*parsed >= lo && *parsed <= hi)) {
     char buf[128];
     std::snprintf(buf, sizeof(buf), "--%s expects a number in [%g, %g], got ",
                   key, lo, hi);
@@ -326,8 +326,8 @@ bool ParseDoubleFlag(const std::map<std::string, std::string>& flags,
 }
 
 /// Parses the optional resource-governance flags shared by batch and
-/// stream: cache capacity/sharding, admission queue caps, and the
-/// backpressure policy. Limits of 0 (the default) mean unbounded.
+/// stream: cache capacity, admission queue caps, and the backpressure
+/// policy. Limits of 0 (the default) mean unbounded.
 bool ParseResourceFlags(const std::map<std::string, std::string>& flags,
                         ResourceOptions* resources) {
   if (!ParseUintFlag(flags, "cache-max-bytes", &resources->cache_max_bytes) ||
@@ -338,13 +338,6 @@ bool ParseResourceFlags(const std::map<std::string, std::string>& flags,
       !ParseUintFlag(flags, "queue-max-bytes", &resources->queue_max_bytes)) {
     return false;
   }
-  uint64_t shards = resources->cache_shards;
-  if (!ParseUintFlag(flags, "cache-shards", &shards)) return false;
-  if (shards == 0 || shards > 4096) {
-    Fail("--cache-shards expects an integer in [1, 4096]");
-    return false;
-  }
-  resources->cache_shards = static_cast<uint32_t>(shards);
   if (auto it = flags.find("backpressure"); it != flags.end()) {
     if (it->second == "block") {
       resources->backpressure = BackpressurePolicy::kBlock;
@@ -376,6 +369,56 @@ bool ParseThreadsFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+/// Parses the streaming admission flags shared by stream, serve and
+/// serve-loop: flush triggers (--max-pending-atomic,
+/// --max-pending-submissions, --max-delay-ms in [0, 1e9]), --threads,
+/// --sharing and the resource-governance flags. Prints the error and
+/// returns false on a bad value; absent flags keep `*options`' defaults.
+bool ParseAdmissionFlags(const std::map<std::string, std::string>& flags,
+                         StreamingOptions* options) {
+  uint64_t max_atomic = options->max_pending_atomic_tasks;
+  uint64_t max_submissions = options->max_pending_submissions;
+  double max_delay_ms = options->max_delay_seconds * 1e3;
+  if (!ParseUintFlag(flags, "max-pending-atomic", &max_atomic) ||
+      !ParseUintFlag(flags, "max-pending-submissions", &max_submissions) ||
+      !ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms) ||
+      !ParseThreadsFlag(flags, &options->num_threads) ||
+      !ParseSharingFlag(flags, &options->sharing) ||
+      !ParseResourceFlags(flags, &options->resources)) {
+    return false;
+  }
+  options->max_pending_atomic_tasks = static_cast<size_t>(max_atomic);
+  options->max_pending_submissions = static_cast<size_t>(max_submissions);
+  options->max_delay_seconds = max_delay_ms / 1e3;
+  return true;
+}
+
+/// Parses `--dataset jelly|smic` and `--max-cardinality M` (M in [1, 64],
+/// default 10), the built-in dataset model flags shared by profile, serve
+/// and serve-loop. The caller checks that --dataset is present. Prints the
+/// error and returns false on a bad value.
+bool ParseDatasetFlags(const std::map<std::string, std::string>& flags,
+                       DatasetKind* kind, uint32_t* max_cardinality) {
+  const std::string& dataset = flags.at("dataset");
+  if (dataset == "jelly") {
+    *kind = DatasetKind::kJelly;
+  } else if (dataset == "smic") {
+    *kind = DatasetKind::kSmic;
+  } else {
+    Fail("unknown dataset: " + dataset);
+    return false;
+  }
+  uint64_t m = 10;
+  if (!ParseUintFlag(flags, "max-cardinality", &m)) return false;
+  if (m == 0 || m > 64) {
+    Fail("--max-cardinality expects an integer in [1, 64], got " +
+         std::to_string(m));
+    return false;
+  }
+  *max_cardinality = static_cast<uint32_t>(m);
+  return true;
+}
+
 Result<std::unique_ptr<Solver>> MakeNamedSolver(const std::string& name,
                                                 const SolverOptions& options) {
   if (name == "greedy") return MakeSolver(SolverKind::kGreedy, options);
@@ -391,23 +434,15 @@ Result<std::unique_ptr<Solver>> MakeNamedSolver(const std::string& name,
 }
 
 int CmdProfile(const std::map<std::string, std::string>& flags) {
-  auto dataset = flags.find("dataset");
-  auto m = flags.find("max-cardinality");
   auto out = flags.find("out");
-  if (dataset == flags.end() || m == flags.end() || out == flags.end()) {
+  if (!flags.count("dataset") || !flags.count("max-cardinality") ||
+      out == flags.end()) {
     return Usage();
   }
   DatasetKind kind;
-  if (dataset->second == "jelly") {
-    kind = DatasetKind::kJelly;
-  } else if (dataset->second == "smic") {
-    kind = DatasetKind::kSmic;
-  } else {
-    return Fail("unknown dataset: " + dataset->second);
-  }
-  const unsigned long max_l = std::strtoul(m->second.c_str(), nullptr, 10);
-  auto profile = BuildProfile(MakeModel(kind),
-                              static_cast<uint32_t>(max_l));
+  uint32_t max_cardinality = 0;
+  if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
+  auto profile = BuildProfile(MakeModel(kind), max_cardinality);
   if (!profile.ok()) return Fail(profile.status().ToString());
   Status st = SaveBinProfileCsv(*profile, out->second);
   if (!st.ok()) return Fail(st.ToString());
@@ -583,29 +618,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
   if (!profile.ok()) return Fail(profile.status().ToString());
 
   StreamingOptions options;
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    auto it = flags.find(key);
-    if (it == flags.end()) return true;
-    auto parsed = ParseUint(it->second);
-    if (!parsed.ok()) return false;
-    *out = static_cast<size_t>(*parsed);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic", &options.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.max_pending_submissions)) {
-    return Fail("size flags expect non-negative integers");
-  }
-  if (auto it = flags.find("max-delay-ms"); it != flags.end()) {
-    auto parsed = ParseDouble(it->second);
-    if (!parsed.ok() || *parsed < 0.0) {
-      return Fail("--max-delay-ms expects a number >= 0, got " + it->second);
-    }
-    options.max_delay_seconds = *parsed / 1e3;
-  }
-  if (!ParseThreadsFlag(flags, &options.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.resources)) return 1;
+  if (!ParseAdmissionFlags(flags, &options)) return 1;
   double speed = 0.0;
   if (auto it = flags.find("speed"); it != flags.end()) {
     auto parsed = ParseDouble(it->second);
@@ -880,22 +893,11 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   Result<BinProfile> profile = Status::Internal("unreachable");
   if (auto it = flags.find("profile"); it != flags.end()) {
     profile = LoadBinProfileCsv(it->second);
-  } else if (auto dataset = flags.find("dataset"); dataset != flags.end()) {
+  } else if (flags.count("dataset")) {
     DatasetKind kind;
-    if (dataset->second == "jelly") {
-      kind = DatasetKind::kJelly;
-    } else if (dataset->second == "smic") {
-      kind = DatasetKind::kSmic;
-    } else {
-      return Fail("unknown dataset: " + dataset->second);
-    }
-    uint64_t max_cardinality = 10;
-    if (!ParseUintFlag(flags, "max-cardinality", &max_cardinality)) return 1;
-    if (max_cardinality == 0 || max_cardinality > 64) {
-      return Fail("--max-cardinality expects an integer in [1, 64]");
-    }
-    profile = BuildProfile(MakeModel(kind),
-                           static_cast<uint32_t>(max_cardinality));
+    uint32_t max_cardinality = 0;
+    if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
+    profile = BuildProfile(MakeModel(kind), max_cardinality);
   } else if (registry != nullptr && registry->live_count() > 0) {
     profile = BinProfile(*registry->LiveSnapshots().front().profile);
   } else {
@@ -912,26 +914,10 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     options.registry = registry.get();
   }
 
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    uint64_t value = *out;
-    if (!ParseUintFlag(flags, key, &value)) return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic", &options.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.max_pending_submissions)) {
+  if (!ParseAdmissionFlags(flags, &options) ||
+      !ParseFairnessFlags(flags, &options.fairness)) {
     return 1;
   }
-  double max_delay_ms = options.max_delay_seconds * 1e3;
-  if (!ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms)) {
-    return 1;
-  }
-  options.max_delay_seconds = max_delay_ms / 1e3;
-  if (!ParseThreadsFlag(flags, &options.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.resources)) return 1;
-  if (!ParseFairnessFlags(flags, &options.fairness)) return 1;
 
   ServerOptions server_options;
   uint64_t port = 8080;
@@ -1112,26 +1098,15 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdServeLoop(const std::map<std::string, std::string>& flags) {
-  auto dataset = flags.find("dataset");
   auto workload_flag = flags.find("workload");
-  if (dataset == flags.end() || workload_flag == flags.end()) return Usage();
+  if (!flags.count("dataset") || workload_flag == flags.end()) return Usage();
   DatasetKind kind;
-  if (dataset->second == "jelly") {
-    kind = DatasetKind::kJelly;
-  } else if (dataset->second == "smic") {
-    kind = DatasetKind::kSmic;
-  } else {
-    return Fail("unknown dataset: " + dataset->second);
-  }
-  uint64_t max_cardinality = 10;
-  if (!ParseUintFlag(flags, "max-cardinality", &max_cardinality)) return 1;
-  if (max_cardinality == 0 || max_cardinality > 64) {
-    return Fail("--max-cardinality expects an integer in [1, 64]");
-  }
+  uint32_t max_cardinality = 0;
+  if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
   // One model drives both the planner's bin profile and the simulated
   // workers, so the loop's plans are calibrated to its marketplace.
   const DatasetModel model = MakeModel(kind);
-  auto profile = BuildProfile(model, static_cast<uint32_t>(max_cardinality));
+  auto profile = BuildProfile(model, max_cardinality);
   if (!profile.ok()) return Fail(profile.status().ToString());
   auto submissions = LoadTimedWorkloadCsv(workload_flag->second);
   if (!submissions.ok()) return Fail(submissions.status().ToString());
@@ -1224,26 +1199,7 @@ int CmdServeLoop(const std::map<std::string, std::string>& flags) {
   }
 
   // Admission path: same flags as `stream`.
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    uint64_t value = *out;
-    if (!ParseUintFlag(flags, key, &value)) return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic",
-                  &options.streaming.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.streaming.max_pending_submissions)) {
-    return 1;
-  }
-  double max_delay_ms = options.streaming.max_delay_seconds * 1e3;
-  if (!ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms)) {
-    return 1;
-  }
-  options.streaming.max_delay_seconds = max_delay_ms / 1e3;
-  if (!ParseThreadsFlag(flags, &options.streaming.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.streaming.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.streaming.resources)) return 1;
+  if (!ParseAdmissionFlags(flags, &options.streaming)) return 1;
 
   // Multi-platform registry + online recalibration. With --profiles the
   // registered profiles are the planner's (possibly stale) beliefs about
